@@ -33,6 +33,9 @@ from .scalars import (
     GradedScalar,
     _as_fraction,
     _check_half_integer,
+    _join_signed,
+    _paren,
+    _put,
     gamma_exact,
 )
 
@@ -60,62 +63,52 @@ def _coerce_scalar(c) -> GradedScalar:
     return GradedScalar.rational(_as_fraction(c))
 
 
-def _join_signed(parts) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
 # ---------------------------------------------------------------------------
-# states
+# the shared term-map core
 # ---------------------------------------------------------------------------
 
 
-class State1D:
-    """Finite sum of weighted powers; exponent -> GradedScalar coefficient."""
+class _TermMap:
+    """Immutable finite map from term keys to nonzero coefficients.
 
-    __slots__ = ("_terms", "label")
+    The common core of line and planar states and operators.  A subclass
+    supplies the key shape and coefficient ring as the ``_key`` and
+    ``_coeff`` coercions (which also validate), its ``terms()`` order and
+    the text of one term.  Construction runs every term through the two
+    coercions, merges repeated keys and drops zero sums, so two maps of a
+    class are equal exactly when their term dicts and their markers are.
+    """
 
-    def __init__(self, terms=None, label=None):
-        canon: dict[Fraction, GradedScalar] = {}
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        canon: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                e = _as_fraction(e)
-                c = _coerce_scalar(c)
-                if not c:
-                    continue
-                acc = canon.get(e, GS_ZERO) + c
-                if acc:
-                    canon[e] = acc
-                elif e in canon:
-                    del canon[e]
+            for key, c in items:
+                _put(canon, self._key(key), self._coeff(c))
         object.__setattr__(self, "_terms", canon)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
-        raise AttributeError("State1D is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _like(self, terms: dict):
+        """A map of this class over terms that are already canonical.
+
+        The dict is taken over, not copied.  Subclasses with a marker
+        carry self's marker over.
+        """
+        out = object.__new__(type(self))
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    def _marker(self):
+        """The field besides the terms that takes part in == and hash."""
+        return None
 
     @classmethod
-    def zero(cls) -> "State1D":
+    def zero(cls):
         return cls()
-
-    @classmethod
-    def power(cls, e, c=1, label=None) -> "State1D":
-        return cls({_as_fraction(e): _coerce_scalar(c)}, label=label)
-
-    def terms(self) -> tuple:
-        return tuple(sorted(self._terms.items(), key=lambda t: t[0]))
-
-    def exponents(self) -> tuple:
-        return tuple(sorted(self._terms))
-
-    def coefficient(self, e) -> GradedScalar:
-        return self._terms.get(_as_fraction(e), GS_ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -124,24 +117,23 @@ class State1D:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, State1D):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other._terms and self._marker() == other._marker()
 
     def __hash__(self):
-        return hash(tuple(sorted((e, c) for e, c in self._terms.items())))
+        return hash((self._marker(), frozenset(self._terms.items())))
 
     def __add__(self, other):
-        if not isinstance(other, State1D):
+        if type(other) is not type(self):
             return NotImplemented
+        # only planar states carry a marker, their renorm power
+        if self._marker() != other._marker():
+            raise DomainError("cannot add states with different renorm powers")
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e, GS_ZERO) + c
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
-        return State1D(out)
+        for key, c in other._terms.items():
+            _put(out, key, c)
+        return self._like(out)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -149,33 +141,115 @@ class State1D:
     def __neg__(self):
         return self.scaled(-1)
 
-    def scaled(self, c) -> "State1D":
-        c = _coerce_scalar(c)
+    def scaled(self, c):
+        c = self._coeff(c)
         if not c:
-            return State1D()
-        return State1D({e: v * c for e, v in self._terms.items()})
+            return self._like({})
+        return self._like({key: v * c for key, v in self._terms.items()})
+
+    def text(self) -> str:
+        if not self._terms:
+            return "0"
+        return _join_signed([self._term_text(key, c) for key, c in self.terms()])
+
+    def __repr__(self):
+        return "%s<%s>" % (type(self).__name__, self.text())
+
+
+def _ratio(a: _TermMap, b: _TermMap):
+    """(num, den) with a = (num/den) b for nonzero term maps, or None.
+
+    Decided by cross-multiplication against the coefficients at the
+    lowest key, so the ratio may lie outside the coefficient ring.
+    """
+    if a._terms.keys() != b._terms.keys():
+        return None
+    k0 = min(a._terms)
+    num = a._terms[k0]
+    den = b._terms[k0]
+    for key, c in a._terms.items():
+        if c * den != b._terms[key] * num:
+            return None
+    return num, den
+
+
+def _eigenvalue(apply, op, s):
+    """Exact multiplier of s under apply(op, s), or None.
+
+    A Fraction when the multiplier is a constant rational, otherwise the
+    multiplier in the state's coefficient ring.
+    """
+    if not s:
+        raise DomainError("eigencheck requires a nonzero state")
+    image = apply(op, s)
+    if not image:
+        return Fraction(0)
+    ratio = _ratio(image, s)
+    if ratio is None:
+        return None
+    lam = ratio[0].try_div(ratio[1])
+    if lam is None:
+        return None
+    frac = lam.as_fraction()
+    return frac if frac is not None else lam
+
+
+def _falling(p: Fraction, j: int) -> Fraction:
+    """The falling factorial (p)_j = p (p-1) ... (p-j+1)."""
+    out = Fraction(1)
+    for i in range(j):
+        out *= p - i
+    return out
+
+
+# ---------------------------------------------------------------------------
+# states
+# ---------------------------------------------------------------------------
+
+
+class State1D(_TermMap):
+    """Finite sum of weighted powers; exponent -> GradedScalar coefficient.
+
+    ``label`` names the state for display and takes no part in ==.
+    """
+
+    __slots__ = ("label",)
+    _key = staticmethod(_as_fraction)
+    _coeff = staticmethod(_coerce_scalar)
+
+    def __init__(self, terms=None, label=None):
+        super().__init__(terms)
+        object.__setattr__(self, "label", label)
+
+    def _like(self, terms: dict, label=None) -> "State1D":
+        out = super()._like(terms)
+        object.__setattr__(out, "label", label)
+        return out
+
+    @classmethod
+    def power(cls, e, c=1, label=None) -> "State1D":
+        return cls([(e, c)], label=label)
+
+    def terms(self) -> tuple:
+        return tuple(sorted(self._terms.items()))
+
+    def exponents(self) -> tuple:
+        return tuple(sorted(self._terms))
+
+    def coefficient(self, e) -> GradedScalar:
+        return self._terms.get(_as_fraction(e), GS_ZERO)
 
     def with_label(self, label) -> "State1D":
-        return State1D(self._terms, label=label)
+        return self._like(self._terms, label)
 
     def min_exponent(self) -> Fraction:
         if not self._terms:
             raise DomainError("zero state has no exponents")
         return min(self._terms)
 
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            ct = c.text()
-            if ("+" in ct) or (" - " in ct):
-                ct = "(" + ct + ")"
-            parts.append("%s*x^(%s)" % (ct, e) if e else ct)
-        return _join_signed(parts)
-
-    def __repr__(self):
-        return "State1D<%s>" % self.text()
+    def _term_text(self, e, c) -> str:
+        ct = _paren(c.text())
+        return "%s*x^(%s)" % (ct, e) if e else ct
 
 
 # ---------------------------------------------------------------------------
@@ -183,37 +257,20 @@ class State1D:
 # ---------------------------------------------------------------------------
 
 
-class DiffOp1D:
+class DiffOp1D(_TermMap):
     """Normal-ordered operator: map (power, dorder) -> GradedScalar."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _coeff = staticmethod(_coerce_scalar)
 
-    def __init__(self, terms=None):
-        canon: dict[tuple[Fraction, int], GradedScalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (p, q), c in items:
-                p = _as_fraction(p)
-                q = int(q)
-                if q < 0:
-                    raise DomainError("derivative order must be non-negative")
-                c = _coerce_scalar(c)
-                if not c:
-                    continue
-                key = (p, q)
-                acc = canon.get(key, GS_ZERO) + c
-                if acc:
-                    canon[key] = acc
-                elif key in canon:
-                    del canon[key]
-        object.__setattr__(self, "_terms", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp1D is immutable")
-
-    @classmethod
-    def zero(cls) -> "DiffOp1D":
-        return cls()
+    @staticmethod
+    def _key(key) -> tuple:
+        p, q = key
+        p = _as_fraction(p)
+        q = int(q)
+        if q < 0:
+            raise DomainError("derivative order must be non-negative")
+        return (p, q)
 
     @classmethod
     def identity(cls) -> "DiffOp1D":
@@ -225,64 +282,19 @@ class DiffOp1D:
     def coefficient(self, p, q) -> GradedScalar:
         return self._terms.get((_as_fraction(p), int(q)), GS_ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp1D):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp1D):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k, GS_ZERO) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return DiffOp1D(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "DiffOp1D":
-        c = _coerce_scalar(c)
-        if not c:
-            return DiffOp1D()
-        return DiffOp1D({k: v * c for k, v in self._terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, DiffOp1D):
             return compose_1d(self, other)
         return NotImplemented
 
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (p, q), c in self.terms():
-            ct = c.text()
-            if ("+" in ct) or (" - " in ct):
-                ct = "(" + ct + ")"
-            bits = [ct]
-            if p:
-                bits.append("x^(%s)" % p)
-            if q:
-                bits.append("D" if q == 1 else "D^%d" % q)
-            parts.append("*".join(bits))
-        return _join_signed(parts)
-
-    def __repr__(self):
-        return "DiffOp1D<%s>" % self.text()
+    def _term_text(self, key, c) -> str:
+        p, q = key
+        bits = [_paren(c.text())]
+        if p:
+            bits.append("x^(%s)" % p)
+        if q:
+            bits.append("D" if q == 1 else "D^%d" % q)
+        return "*".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +302,6 @@ class DiffOp1D:
 # ---------------------------------------------------------------------------
 
 _HALF = Fraction(1, 2)
-
-OP_NAMES_1D = ("H1", "a_plus", "a_minus", "A_plus", "A_minus", "X", "D")
 
 
 def build_op_1d(name: str, alpha=None) -> DiffOp1D:
@@ -372,44 +382,21 @@ def _diff_state_terms(terms: dict) -> dict:
     out: dict[Fraction, GradedScalar] = {}
     for e, c in terms.items():
         if e:
-            k = e - 1
-            acc = out.get(k, GS_ZERO) + c * e
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        k = e + 1
-        acc = out.get(k, GS_ZERO) - c
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
+            _put(out, e - 1, c * e)
+        _put(out, e + 1, -c)
     return out
 
 
 def apply_1d(op: DiffOp1D, s: State1D) -> State1D:
     """Apply a normal-ordered operator to a weighted state."""
     total: dict[Fraction, GradedScalar] = {}
-    base = dict(s._terms)
     for (p, q), c in op._terms.items():
-        cur = base
+        cur = s._terms
         for _ in range(q):
             cur = _diff_state_terms(cur)
         for e, v in cur.items():
-            k = e + p
-            acc = total.get(k, GS_ZERO) + v * c
-            if acc:
-                total[k] = acc
-            elif k in total:
-                del total[k]
-    return State1D(total)
-
-
-def _falling(p: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= p - i
-    return out
+            _put(total, e + p, v * c)
+    return s._like(total)
 
 
 def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
@@ -426,13 +413,8 @@ def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
                 w = _falling(p2, j) * math.comb(q1, j)
                 if not w:
                     continue
-                key = (p1 + p2 - j, q1 - j + q2)
-                acc = out.get(key, GS_ZERO) + c12 * w
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return DiffOp1D(out)
+                _put(out, (p1 + p2 - j, q1 - j + q2), c12 * w)
+    return f._like(out)
 
 
 def commutator_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
@@ -483,21 +465,7 @@ def eigencheck_1d(op: DiffOp1D, s: State1D):
     Returns a Fraction when the multiplier is rational, otherwise the
     GradedScalar multiplier.
     """
-    if not s:
-        raise DomainError("eigencheck requires a nonzero state")
-    image = apply_1d(op, s)
-    if not image:
-        return Fraction(0)
-    if set(image._terms) != set(s._terms):
-        return None
-    e0 = min(s._terms)
-    lam = image._terms[e0].try_div(s._terms[e0])
-    if lam is None:
-        return None
-    if s.scaled(lam) != image:
-        return None
-    frac = lam.as_fraction()
-    return frac if frac is not None else lam
+    return _eigenvalue(apply_1d, op, s)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra1d import DIV_LOG, DIV_NONE, Divergence, _join_signed
+from .algebra1d import (
+    DIV_LOG,
+    DIV_NONE,
+    Divergence,
+    _coerce_scalar,
+    _eigenvalue,
+    _falling,
+    _ratio,
+    _TermMap,
+)
 from .errors import DomainError, NotConvergent, PoleError
 from .scalars import (
     GS_ONE,
@@ -41,6 +50,8 @@ from .scalars import (
     LaurentValue,
     _as_fraction,
     _check_half_integer,
+    _paren,
+    _put,
     gamma_exact,
     gamma_laurent,
 )
@@ -61,6 +72,13 @@ def _check_slope(s) -> int:
     return s
 
 
+def _check_renorm(power) -> Fraction:
+    power = _as_fraction(power)
+    if power not in (0, _HALF):
+        raise DomainError("renorm power must be 0 or 1/2")
+    return power
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -79,10 +97,6 @@ class Monomial2D:
         """Angular charge as (constant, eps-slope): q = -L + M."""
         return (-self.lam + self.mu, -self.lam_slope + self.mu_slope)
 
-    def degree_sum(self) -> tuple[Fraction, int]:
-        """lam + mu as (constant, eps-slope)."""
-        return (self.lam + self.mu, self.lam_slope + self.mu_slope)
-
     def key(self):
         return (self.lam, self.lam_slope, self.mu, self.mu_slope)
 
@@ -92,105 +106,44 @@ class Monomial2D:
         return "zbar^(%s)*z^(%s)" % (lt, mt)
 
 
-class State2D:
+class State2D(_TermMap):
     """Finite sum of weighted monomials with a renormalization marker.
 
     ``renorm_power`` is 0 for plain states and 1/2 for states drawn from
     an eps-deformed sector, recording the sqrt(eps) prefactor that the
-    renormalized inner product applies.
+    renormalized inner product applies.  It takes part in ==, and only
+    states with the same marker add.
     """
 
-    __slots__ = ("_terms", "renorm_power")
+    __slots__ = ("renorm_power",)
+    _coeff = staticmethod(_coerce_eps)
 
     def __init__(self, terms=None, renorm_power=Fraction(0)):
-        renorm_power = _as_fraction(renorm_power)
-        if renorm_power not in (Fraction(0), _HALF):
-            raise DomainError("renorm power must be 0 or 1/2")
-        canon: dict[tuple, EpsScalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
-                if not isinstance(mono, Monomial2D):
-                    lam, ls, mu, ms = mono
-                    mono = Monomial2D(
-                        _as_fraction(lam), _check_slope(ls), _as_fraction(mu), _check_slope(ms)
-                    )
-                else:
-                    _check_slope(mono.lam_slope)
-                    _check_slope(mono.mu_slope)
-                c = _coerce_eps(c)
-                if not c:
-                    continue
-                key = mono.key()
-                acc = canon.get(key, EpsScalar.zero()) + c
-                if acc:
-                    canon[key] = acc
-                elif key in canon:
-                    del canon[key]
-        object.__setattr__(self, "_terms", canon)
+        renorm_power = _check_renorm(renorm_power)
+        super().__init__(terms)
         object.__setattr__(self, "renorm_power", renorm_power)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("State2D is immutable")
+    @staticmethod
+    def _key(mono) -> tuple:
+        lam, ls, mu, ms = mono.key() if isinstance(mono, Monomial2D) else mono
+        return (_as_fraction(lam), _check_slope(ls), _as_fraction(mu), _check_slope(ms))
 
-    @classmethod
-    def zero(cls) -> "State2D":
-        return cls()
+    def _like(self, terms: dict, renorm_power=None) -> "State2D":
+        out = super()._like(terms)
+        if renorm_power is None:
+            renorm_power = self.renorm_power
+        object.__setattr__(out, "renorm_power", renorm_power)
+        return out
+
+    def _marker(self):
+        return self.renorm_power
 
     def terms(self) -> tuple:
         """Sorted (Monomial2D, EpsScalar) pairs."""
-        out = []
-        for key in sorted(self._terms):
-            lam, ls, mu, ms = key
-            out.append((Monomial2D(lam, ls, mu, ms), self._terms[key]))
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, State2D):
-            return NotImplemented
-        return self._terms == other._terms and self.renorm_power == other.renorm_power
-
-    def __hash__(self):
-        return hash(
-            (self.renorm_power, tuple(sorted(self._terms.items())))
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, State2D):
-            return NotImplemented
-        if self.renorm_power != other.renorm_power:
-            raise DomainError("cannot add states with different renorm powers")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k, EpsScalar.zero()) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return _state2d_raw(out, self.renorm_power)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "State2D":
-        c = _coerce_eps(c)
-        if not c:
-            return State2D(renorm_power=self.renorm_power)
-        return _state2d_raw(
-            {k: v * c for k, v in self._terms.items()}, self.renorm_power
-        )
+        return tuple((Monomial2D(*key), self._terms[key]) for key in sorted(self._terms))
 
     def with_renorm(self, power) -> "State2D":
-        return _state2d_raw(dict(self._terms), _as_fraction(power))
+        return self._like(self._terms, _check_renorm(power))
 
     def has_slopes(self) -> bool:
         return any(k[1] or k[3] for k in self._terms)
@@ -202,47 +155,16 @@ class State2D:
         """Termwise eps -> 0 limit: slopes dropped, coefficients at eps = 0."""
         out: dict[tuple, EpsScalar] = {}
         for (lam, _ls, mu, _ms), c in self._terms.items():
-            c0 = c.eval0()
-            if not c0:
-                continue
-            key = (lam, 0, mu, 0)
-            acc = out.get(key, EpsScalar.zero()) + EpsScalar.of(c0)
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return _state2d_raw(out, Fraction(0))
+            _put(out, (lam, 0, mu, 0), EpsScalar.of(c.eval0()))
+        return self._like(out, Fraction(0))
 
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, c in self.terms():
-            ct = c.text()
-            if "+" in ct[1:] or "-" in ct[1:]:
-                ct = "(" + ct + ")"
-            parts.append("%s*%s" % (ct, mono.text()))
-        return _join_signed(parts)
-
-    def __repr__(self):
-        return "State2D<%s>" % self.text()
-
-
-def _state2d_raw(terms: dict, renorm_power) -> State2D:
-    out = State2D(renorm_power=renorm_power)
-    object.__setattr__(out, "_terms", terms)
-    return out
+    def _term_text(self, mono, c) -> str:
+        return "%s*%s" % (_paren(c.text(), minus="-"), mono.text())
 
 
 def omega(lam, mu, lam_slope=0, mu_slope=0) -> State2D:
     """Unit-coefficient weighted monomial state."""
-    return State2D(
-        {
-            Monomial2D(
-                _as_fraction(lam), _check_slope(lam_slope), _as_fraction(mu), _check_slope(mu_slope)
-            ): EpsScalar.one()
-        }
-    )
+    return State2D({(lam, lam_slope, mu, mu_slope): EpsScalar.one()})
 
 
 def psi0() -> State2D:
@@ -255,42 +177,27 @@ def psi0() -> State2D:
 # ---------------------------------------------------------------------------
 
 
-class DiffOp2D:
+class DiffOp2D(_TermMap):
     """Normal-ordered operator: map (zbar_pow, z_pow, dzbar, dz) -> GradedScalar."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        canon: dict[tuple, GradedScalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (pb, p, rb, r), c in items:
-                pb = _as_fraction(pb)
-                p = _as_fraction(p)
-                rb = int(rb)
-                r = int(r)
-                if rb < 0 or r < 0:
-                    raise DomainError("derivative order must be non-negative")
-                if isinstance(c, EpsScalar):
-                    raise DomainError("operator coefficients carry no eps dependence")
-                if not isinstance(c, GradedScalar):
-                    c = GradedScalar.rational(_as_fraction(c))
-                if not c:
-                    continue
-                key = (pb, p, rb, r)
-                acc = canon.get(key, GS_ZERO) + c
-                if acc:
-                    canon[key] = acc
-                elif key in canon:
-                    del canon[key]
-        object.__setattr__(self, "_terms", canon)
+    @staticmethod
+    def _key(key) -> tuple:
+        pb, p, rb, r = key
+        pb = _as_fraction(pb)
+        p = _as_fraction(p)
+        rb = int(rb)
+        r = int(r)
+        if rb < 0 or r < 0:
+            raise DomainError("derivative order must be non-negative")
+        return (pb, p, rb, r)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp2D is immutable")
-
-    @classmethod
-    def zero(cls) -> "DiffOp2D":
-        return cls()
+    @staticmethod
+    def _coeff(c) -> GradedScalar:
+        if isinstance(c, EpsScalar):
+            raise DomainError("operator coefficients carry no eps dependence")
+        return _coerce_scalar(c)
 
     @classmethod
     def identity(cls) -> "DiffOp2D":
@@ -306,72 +213,23 @@ class DiffOp2D:
             (_as_fraction(pb), _as_fraction(p), int(rb), int(r)), GS_ZERO
         )
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp2D):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp2D):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k, GS_ZERO) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return DiffOp2D(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "DiffOp2D":
-        if isinstance(c, (int, Fraction)):
-            c = GradedScalar.rational(_as_fraction(c))
-        if not c:
-            return DiffOp2D()
-        return DiffOp2D({k: v * c for k, v in self._terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, DiffOp2D):
             return compose_2d(self, other)
         return NotImplemented
 
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (pb, p, rb, r), c in self.terms():
-            ct = c.text()
-            if ("+" in ct) or (" - " in ct):
-                ct = "(" + ct + ")"
-            bits = [ct]
-            if pb:
-                bits.append("zbar^(%s)" % pb)
-            if p:
-                bits.append("z^(%s)" % p)
-            if rb:
-                bits.append("dzbar" if rb == 1 else "dzbar^%d" % rb)
-            if r:
-                bits.append("dz" if r == 1 else "dz^%d" % r)
-            parts.append("*".join(bits))
-        return _join_signed(parts)
-
-    def __repr__(self):
-        return "DiffOp2D<%s>" % self.text()
-
-
-OP_NAMES_2D = ("H", "Q", "b_pp", "b_pm", "b_mp", "b_mm", "Z", "ZBAR", "DZ", "DZBAR")
+    def _term_text(self, key, c) -> str:
+        pb, p, rb, r = key
+        bits = [_paren(c.text())]
+        if pb:
+            bits.append("zbar^(%s)" % pb)
+        if p:
+            bits.append("z^(%s)" % p)
+        if rb:
+            bits.append("dzbar" if rb == 1 else "dzbar^%d" % rb)
+        if r:
+            bits.append("dz" if r == 1 else "dz^%d" % r)
+        return "*".join(bits)
 
 
 def build_op_2d(name: str) -> DiffOp2D:
@@ -431,37 +289,21 @@ def _dz_terms(terms: dict) -> dict:
     # dz: (lam, mu) -> coeff*2*(mu + mu_slope*eps) at (lam, mu-1), plus
     #     -coeff at (lam+1, mu) from the weight.
     out: dict[tuple, EpsScalar] = {}
-
-    def push(key, c):
-        acc = out.get(key, EpsScalar.zero()) + c
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-
     for (lam, ls, mu, ms), c in terms.items():
         mult = EpsScalar.affine(2 * mu, 2 * ms) if ms else EpsScalar.of(2 * mu)
         if mult:
-            push((lam, ls, mu - 1, ms), c * mult)
-        push((lam + 1, ls, mu, ms), -c)
+            _put(out, (lam, ls, mu - 1, ms), c * mult)
+        _put(out, (lam + 1, ls, mu, ms), -c)
     return out
 
 
 def _dzbar_terms(terms: dict) -> dict:
     out: dict[tuple, EpsScalar] = {}
-
-    def push(key, c):
-        acc = out.get(key, EpsScalar.zero()) + c
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-
     for (lam, ls, mu, ms), c in terms.items():
         mult = EpsScalar.affine(2 * lam, 2 * ls) if ls else EpsScalar.of(2 * lam)
         if mult:
-            push((lam - 1, ls, mu, ms), c * mult)
-        push((lam, ls, mu + 1, ms), -c)
+            _put(out, (lam - 1, ls, mu, ms), c * mult)
+        _put(out, (lam, ls, mu + 1, ms), -c)
     return out
 
 
@@ -469,26 +311,14 @@ def apply_2d(op: DiffOp2D, s: State2D) -> State2D:
     """Apply a normal-ordered operator; the renorm marker is preserved."""
     total: dict[tuple, EpsScalar] = {}
     for (pb, p, rb, r), c in op._terms.items():
-        cur = dict(s._terms)
+        cur = s._terms
         for _ in range(r):
             cur = _dz_terms(cur)
         for _ in range(rb):
             cur = _dzbar_terms(cur)
         for (lam, ls, mu, ms), v in cur.items():
-            key = (lam + pb, ls, mu + p, ms)
-            acc = total.get(key, EpsScalar.zero()) + v * c
-            if acc:
-                total[key] = acc
-            elif key in total:
-                del total[key]
-    return _state2d_raw(total, s.renorm_power)
-
-
-def _falling(p: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= p - i
-    return out
+            _put(total, (lam + pb, ls, mu + p, ms), v * c)
+    return s._like(total)
 
 
 def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
@@ -511,12 +341,8 @@ def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
                     if not wz:
                         continue
                     key = (pb1 + pb2 - jb, p1 + p2 - jz, rb1 - jb + rb2, r1 - jz + r2)
-                    acc = out.get(key, GS_ZERO) + c12 * (wb * wz)
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
-    return DiffOp2D(out)
+                    _put(out, key, c12 * (wb * wz))
+    return f._like(out)
 
 
 def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
@@ -620,21 +446,7 @@ def eigencheck_2d(op: DiffOp2D, s: State2D):
     Returns a Fraction when the multiplier is a constant rational,
     otherwise the EpsScalar multiplier.
     """
-    if not s:
-        raise DomainError("eigencheck requires a nonzero state")
-    image = apply_2d(op, s)
-    if not image:
-        return Fraction(0)
-    if set(image._terms) != set(s._terms):
-        return None
-    k0 = min(s._terms)
-    lam = image._terms[k0].try_div(s._terms[k0])
-    if lam is None:
-        return None
-    if s.scaled(lam) != image.with_renorm(s.renorm_power):
-        return None
-    frac = lam.as_fraction()
-    return frac if frac is not None else lam
+    return _eigenvalue(apply_2d, op, s)
 
 
 def states_proportional(a: State2D, b: State2D):
@@ -646,18 +458,13 @@ def states_proportional(a: State2D, b: State2D):
     """
     if not a or not b:
         raise DomainError("proportionality requires nonzero states")
-    if set(a._terms) != set(b._terms):
+    ratio = _ratio(a, b)
+    if ratio is None:
         return None
-    k0 = min(a._terms)
-    num = a._terms[k0]
-    den = b._terms[k0]
-    for k in a._terms:
-        if a._terms[k] * den != b._terms[k] * num:
-            return None
-    q = num.try_div(den)
+    q = ratio[0].try_div(ratio[1])
     if q is not None:
         return (q, EpsScalar.one())
-    return (num, den)
+    return ratio
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from fractions import Fraction
 from .errors import DomainError
 from .scalars import (
     EXACT_UNAVAILABLE,
+    GS_ZERO,
     EpsScalar,
     GradedScalar,
     LaurentValue,
+    _put,
 )
 
 _HALF = Fraction(1, 2)
@@ -69,8 +71,7 @@ def eps_to_json(v: EpsScalar) -> list:
 def eps_from_json(data) -> EpsScalar:
     if not isinstance(data, list):
         raise DomainError("eps polynomial JSON must be a list of terms")
-    eps = EpsScalar.affine(0, 1)
-    out = EpsScalar.zero()
+    coeffs: dict[int, GradedScalar] = {}
     for item in data:
         if not isinstance(item, dict) or set(item) != {"power", "coeff"}:
             raise DomainError("eps polynomial term must have keys power, coeff")
@@ -79,11 +80,8 @@ def eps_from_json(data) -> EpsScalar:
             raise DomainError("eps power must be an integer")
         if p < 0:
             raise DomainError("eps power must be non-negative")
-        term = EpsScalar.of(graded_from_json(item["coeff"]))
-        for _ in range(p):
-            term = term * eps
-        out = out + term
-    return out
+        _put(coeffs, p, graded_from_json(item["coeff"]))
+    return EpsScalar(coeffs.get(i, GS_ZERO) for i in range(max(coeffs, default=-1) + 1))
 
 
 def laurent_to_json(v: LaurentValue) -> dict:
@@ -119,17 +117,15 @@ def state1d_from_json(data):
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise DomainError("line state JSON needs a terms list")
-    acc = {}
+    pairs = []
     for item in terms:
         if not isinstance(item, dict) or not {"exp", "coeff"} <= set(item):
             raise DomainError("line state term must have keys exp, coeff")
-        e = frac_from_text(item["exp"])
-        c = graded_from_json(item["coeff"])
-        acc[e] = acc.get(e, GradedScalar.zero()) + c
+        pairs.append((frac_from_text(item["exp"]), graded_from_json(item["coeff"])))
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise DomainError("label must be a string")
-    return State1D(acc, label=label)
+    return State1D(pairs, label=label)
 
 
 def op1d_to_json(op) -> dict:

@@ -49,6 +49,36 @@ def _as_fraction(x) -> Fraction:
     raise DomainError("expected a rational, got %r" % (x,))
 
 
+def _put(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    acc = c if acc is None else acc + c
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
+def _paren(text: str, minus: str = " - ") -> str:
+    """Parenthesize a coefficient text that reads as a sum or difference.
+
+    ``minus`` is the separator of a difference: " - " in graded texts,
+    "-" in the compact eps-polynomial texts.
+    """
+    if "+" in text or minus in text[1:]:
+        return "(" + text + ")"
+    return text
+
+
+def _join_signed(parts, pad: str = " ") -> str:
+    """Join signed term texts as ``a + b - c`` (``a+b-c`` with pad "")."""
+    out = parts[0]
+    for p in parts[1:]:
+        sign, p = ("-", p[1:]) if p.startswith("-") else ("+", p)
+        out += pad + sign + pad + p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graded scalars
 # ---------------------------------------------------------------------------
@@ -72,16 +102,9 @@ class GradedScalar:
                 if not q:
                     continue
                 j = int(j)
-                k = int(k)
                 r = j % 2
                 # 2^(j/2) = 2^((j-r)/2) * 2^(r/2) with the first factor rational
-                q = q * Fraction(2) ** ((j - r) // 2)
-                key = (r, k)
-                acc = canon.get(key, _ZERO_FRACTION) + q
-                if acc:
-                    canon[key] = acc
-                elif key in canon:
-                    del canon[key]
+                _put(canon, (r, int(k)), q * Fraction(2) ** ((j - r) // 2))
         object.__setattr__(self, "_terms", canon)
         object.__setattr__(self, "_hash", None)
 
@@ -152,9 +175,11 @@ class GradedScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, since the two compare equal
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self._terms.items())))
+            q = self.as_fraction()
+            h = hash(q) if q is not None else hash(frozenset(self._terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -168,11 +193,7 @@ class GradedScalar:
             return NotImplemented
         out = dict(self._terms)
         for g, q in other._terms.items():
-            acc = out.get(g, _ZERO_FRACTION) + q
-            if acc:
-                out[g] = acc
-            elif g in out:
-                del out[g]
+            _put(out, g, q)
         return _gs_raw(out)
 
     __radd__ = __add__
@@ -200,13 +221,7 @@ class GradedScalar:
             for (j2, k2), q2 in other._terms.items():
                 j = j1 + j2
                 r = j % 2
-                q = q1 * q2 * Fraction(2) ** ((j - r) // 2)
-                key = (r, k1 + k2)
-                acc = out.get(key, _ZERO_FRACTION) + q
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                _put(out, (r, k1 + k2), q1 * q2 * Fraction(2) ** ((j - r) // 2))
         return _gs_raw(out)
 
     __rmul__ = __mul__
@@ -281,13 +296,7 @@ class GradedScalar:
                 else:
                     factors.append("pi^(%s)" % Fraction(k, 2))
             parts.append("*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return _join_signed(parts)
 
     def __repr__(self):
         return "GradedScalar<%s>" % self.text()
@@ -507,6 +516,9 @@ class EpsScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its coefficient, which it compares equal to
+        if len(self._coeffs) <= 1:
+            return hash(self.eval0())
         return hash(self._coeffs)
 
     def __neg__(self):
@@ -601,14 +613,8 @@ class EpsScalar:
             elif c == -_GS_ONE:
                 parts.append("-" + e)
             else:
-                ct = c.text()
-                if ("+" in ct) or (" - " in ct):
-                    ct = "(" + ct + ")"
-                parts.append("%s*%s" % (ct, e))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+                parts.append("%s*%s" % (_paren(c.text()), e))
+        return _join_signed(parts, pad="")
 
     def __repr__(self):
         return "EpsScalar<%s>" % self.text()
@@ -798,4 +804,3 @@ def gamma_laurent(base, slope) -> LaurentValue:
 GS_ZERO = _GS_ZERO
 GS_ONE = _GS_ONE
 GS_PI = GradedScalar.pi()
-GS_SQRT_PI = GradedScalar.sqrt_pi()

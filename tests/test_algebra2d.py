@@ -98,6 +98,20 @@ def test_symmetry_algebra():
         assert commutator_2d(Q, ladder).terms() == ladder.scaled(gs(q_sign)).terms()
 
 
+def test_scaling_by_a_non_rational_is_a_coded_domain_error():
+    # the operator, like the planar state and the line operator, refuses a
+    # float or an eps-dependent factor with a DomainError, not a TypeError
+    op = build_op_2d("H")
+    for bad in (0.5, EpsScalar.affine(0, 1)):
+        with pytest.raises(DomainError) as err:
+            op.scaled(bad)
+        assert err.value.code == "domain"
+    with pytest.raises(DomainError):
+        omega(0, 0).scaled(0.5)
+    assert op.scaled(Fraction(1, 2)).scaled(2) == op
+    assert op.scaled(0).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # application against the symbolic oracle
 

@@ -96,6 +96,20 @@ def test_eps_round_trip(e):
     assert eps_from_json(doc) == e
 
 
+def test_eps_terms_add_at_their_powers():
+    def term(power, q, k=0):
+        return {"power": power, "coeff": [{"j": 0, "k": k, "q": q}]}
+
+    doc = [term(3, "2"), term(0, "1/2"), term(3, "-2"), term(1, "1", 1), term(0, "1/2")]
+    # the two power-3 terms cancel, the two constant ones add
+    assert eps_from_json(doc) == EpsScalar.affine(1, GradedScalar.sqrt_pi())
+    assert eps_from_json(doc).degree() == 1
+    assert eps_from_json([term(4, "1"), term(4, "-1")]).is_zero()
+    assert eps_from_json([]).is_zero()
+    top = eps_from_json([term(40, "3")])
+    assert top.degree() == 40 and top.coeff(40) == 3 and not top.coeff(39)
+
+
 def test_scalar_codec_rejections():
     with pytest.raises(DomainError):
         graded_from_json({"j": 0})

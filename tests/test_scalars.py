@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinosc import (
+    DiffOp1D,
+    DiffOp2D,
     DomainError,
     EpsScalar,
     GradedScalar,
@@ -16,6 +18,8 @@ from kreinosc import (
     LaurentValue,
     NotConvergent,
     PoleError,
+    State1D,
+    State2D,
     gamma_exact,
     gamma_laurent,
     gamma_numeric,
@@ -373,3 +377,45 @@ def test_gamma_laurent_off_pole_is_exact():
     assert v.finite == gamma_exact(Fraction(3, 2))
     with pytest.raises(DomainError):
         gamma_laurent(Fraction(1, 2), Fraction(0))
+
+
+# -- value contracts ---------------------------------------------------------
+
+
+def _value_forms(q, g, e, slope):
+    """Values built two ways each, so that equal values of different types
+    and equal term maps built from differently ordered terms all occur."""
+    terms1 = [(Fraction(1, 2), g), (Fraction(-1), q), (Fraction(1, 2), q)]
+    terms2 = [((0, slope, 1, 0), e), ((1, 0, 0, slope), q), ((0, slope, 1, 0), g)]
+    ops1 = [((1, 0), g), ((0, 2), q)]
+    ops2 = [((0, 1, 1, 0), g), ((1, 0, 0, 0), q)]
+    return [
+        q,
+        GradedScalar.rational(q),
+        EpsScalar.of(q),
+        g,
+        EpsScalar.of(g),
+        e,
+        State1D(terms1),
+        State1D(terms1[::-1], label="reversed"),
+        State2D(terms2),
+        State2D(terms2[::-1]),
+        State2D(terms2, renorm_power=Fraction(1, 2)),
+        DiffOp1D(ops1),
+        DiffOp1D(ops1[::-1]),
+        DiffOp2D(ops2),
+        DiffOp2D(ops2[::-1]),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, graded_small, eps_polys, st.integers(min_value=0, max_value=1))
+def test_equal_values_hash_equal(q, g, e, slope):
+    values = _value_forms(q, g, e, slope)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    # a rational scalar is found under its Fraction key and the other way round
+    assert {GradedScalar.rational(q): 1}.get(q) == 1
+    assert {q: 1}.get(EpsScalar.of(q)) == 1
