@@ -33,9 +33,10 @@ from .scalars import (
     GradedScalar,
     _as_fraction,
     _check_half_integer,
-    _join_signed,
+    _coerce_scalar,
     _paren,
     _put,
+    _TermMap,
     gamma_exact,
 )
 
@@ -57,105 +58,6 @@ def depth_limit() -> int:
     return value
 
 
-def _coerce_scalar(c) -> GradedScalar:
-    if isinstance(c, GradedScalar):
-        return c
-    return GradedScalar.rational(_as_fraction(c))
-
-
-# ---------------------------------------------------------------------------
-# the shared term-map core
-# ---------------------------------------------------------------------------
-
-
-class _TermMap:
-    """Immutable finite map from term keys to nonzero coefficients.
-
-    The common core of line and planar states and operators.  A subclass
-    supplies the key shape and coefficient ring as the ``_key`` and
-    ``_coeff`` coercions (which also validate), its ``terms()`` order and
-    the text of one term.  Construction runs every term through the two
-    coercions, merges repeated keys and drops zero sums, so two maps of a
-    class are equal exactly when their term dicts and their markers are.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        canon: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                _put(canon, self._key(key), self._coeff(c))
-        object.__setattr__(self, "_terms", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def _like(self, terms: dict):
-        """A map of this class over terms that are already canonical.
-
-        The dict is taken over, not copied.  Subclasses with a marker
-        carry self's marker over.
-        """
-        out = object.__new__(type(self))
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def _marker(self):
-        """The field besides the terms that takes part in == and hash."""
-        return None
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._terms == other._terms and self._marker() == other._marker()
-
-    def __hash__(self):
-        return hash((self._marker(), frozenset(self._terms.items())))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # only planar states carry a marker, their renorm power
-        if self._marker() != other._marker():
-            raise DomainError("cannot add states with different renorm powers")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            _put(out, key, c)
-        return self._like(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c):
-        c = self._coeff(c)
-        if not c:
-            return self._like({})
-        return self._like({key: v * c for key, v in self._terms.items()})
-
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        return _join_signed([self._term_text(key, c) for key, c in self.terms()])
-
-    def __repr__(self):
-        return "%s<%s>" % (type(self).__name__, self.text())
-
-
 def _ratio(a: _TermMap, b: _TermMap):
     """(num, den) with a = (num/den) b for nonzero term maps, or None.
 
@@ -174,24 +76,14 @@ def _ratio(a: _TermMap, b: _TermMap):
 
 
 def _eigenvalue(apply, op, s):
-    """Exact multiplier of s under apply(op, s), or None.
-
-    A Fraction when the multiplier is a constant rational, otherwise the
-    multiplier in the state's coefficient ring.
-    """
+    """Exact multiplier of s under apply(op, s) in s's coefficient ring, or None."""
     if not s:
         raise DomainError("eigencheck requires a nonzero state")
     image = apply(op, s)
     if not image:
-        return Fraction(0)
+        return s._coeff(0)
     ratio = _ratio(image, s)
-    if ratio is None:
-        return None
-    lam = ratio[0].try_div(ratio[1])
-    if lam is None:
-        return None
-    frac = lam.as_fraction()
-    return frac if frac is not None else lam
+    return None if ratio is None else ratio[0].try_div(ratio[1])
 
 
 def _falling(p: Fraction, j: int) -> Fraction:
@@ -460,10 +352,9 @@ def ladder_state_1d(alpha, n: int) -> tuple[State1D, Fraction]:
 
 
 def eigencheck_1d(op: DiffOp1D, s: State1D):
-    """Exact eigenvalue of s under op, or None.
+    """Exact eigenvalue of s under op as a GradedScalar, or None.
 
-    Returns a Fraction when the multiplier is rational, otherwise the
-    GradedScalar multiplier.
+    A rational eigenvalue compares and hashes equal to its Fraction.
     """
     return _eigenvalue(apply_1d, op, s)
 

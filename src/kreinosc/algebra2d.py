@@ -34,11 +34,9 @@ from .algebra1d import (
     DIV_LOG,
     DIV_NONE,
     Divergence,
-    _coerce_scalar,
     _eigenvalue,
     _falling,
     _ratio,
-    _TermMap,
 )
 from .errors import DomainError, NotConvergent, PoleError
 from .scalars import (
@@ -50,19 +48,15 @@ from .scalars import (
     LaurentValue,
     _as_fraction,
     _check_half_integer,
+    _coerce_scalar,
     _paren,
     _put,
+    _TermMap,
     gamma_exact,
     gamma_laurent,
 )
 
 _HALF = Fraction(1, 2)
-
-
-def _coerce_eps(c) -> EpsScalar:
-    if isinstance(c, EpsScalar):
-        return c
-    return EpsScalar.of(c)
 
 
 def _check_slope(s) -> int:
@@ -116,7 +110,7 @@ class State2D(_TermMap):
     """
 
     __slots__ = ("renorm_power",)
-    _coeff = staticmethod(_coerce_eps)
+    _coeff = staticmethod(EpsScalar.of)
 
     def __init__(self, terms=None, renorm_power=Fraction(0)):
         renorm_power = _check_renorm(renorm_power)
@@ -137,6 +131,11 @@ class State2D(_TermMap):
 
     def _marker(self):
         return self.renorm_power
+
+    def __add__(self, other):
+        if isinstance(other, State2D) and other.renorm_power != self.renorm_power:
+            raise DomainError("cannot add states with different renorm powers")
+        return super().__add__(other)
 
     def terms(self) -> tuple:
         """Sorted (Monomial2D, EpsScalar) pairs."""
@@ -441,10 +440,10 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
 
 
 def eigencheck_2d(op: DiffOp2D, s: State2D):
-    """Exact eigenvalue of s under op, or None.
+    """Exact eigenvalue of s under op as an EpsScalar, or None.
 
-    Returns a Fraction when the multiplier is a constant rational,
-    otherwise the EpsScalar multiplier.
+    A constant eigenvalue compares and hashes equal to its GradedScalar,
+    a rational one to its Fraction.
     """
     return _eigenvalue(apply_2d, op, s)
 

@@ -227,17 +227,11 @@ def _cmd_spectrum(args) -> None:
 def _cmd_vacuum(args) -> None:
     state = solve_vacuum_1d(args.alpha)
     energy = eigencheck_1d(build_op_1d("H1"), state)
-    if energy is None:
-        energy_text = None
-    elif isinstance(energy, Fraction):
-        energy_text = frac_text(energy)
-    else:
-        energy_text = energy.text()
     _emit(
         {
             "alpha": frac_text(args.alpha),
             "state": state1d_to_json(state),
-            "energy": energy_text,
+            "energy": None if energy is None else energy.text(),
         }
     )
 

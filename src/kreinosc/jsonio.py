@@ -12,7 +12,6 @@ from fractions import Fraction
 from .errors import DomainError
 from .scalars import (
     EXACT_UNAVAILABLE,
-    GS_ZERO,
     EpsScalar,
     GradedScalar,
     LaurentValue,
@@ -20,6 +19,12 @@ from .scalars import (
 )
 
 _HALF = Fraction(1, 2)
+
+# Highest eps power a loaded document may carry (DomainError above).  The
+# lab writes degrees up to a sector's depth, at most 16; an eps
+# polynomial's sort key is dense in its degree, so an unbounded power
+# would stall sorting and export.
+MAX_EPS_POWER = 1024
 
 
 def frac_text(f: Fraction) -> str:
@@ -61,11 +66,7 @@ def graded_from_json(data) -> GradedScalar:
 
 
 def eps_to_json(v: EpsScalar) -> list:
-    return [
-        {"power": p, "coeff": graded_to_json(c)}
-        for p, c in enumerate(v.coeffs())
-        if c
-    ]
+    return [{"power": p, "coeff": graded_to_json(c)} for p, c in v.terms()]
 
 
 def eps_from_json(data) -> EpsScalar:
@@ -80,8 +81,10 @@ def eps_from_json(data) -> EpsScalar:
             raise DomainError("eps power must be an integer")
         if p < 0:
             raise DomainError("eps power must be non-negative")
+        if p > MAX_EPS_POWER:
+            raise DomainError("eps power %d exceeds the bound %d" % (p, MAX_EPS_POWER))
         _put(coeffs, p, graded_from_json(item["coeff"]))
-    return EpsScalar(coeffs.get(i, GS_ZERO) for i in range(max(coeffs, default=-1) + 1))
+    return EpsScalar.zero()._like(coeffs)
 
 
 def laurent_to_json(v: LaurentValue) -> dict:

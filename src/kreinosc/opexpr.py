@@ -18,6 +18,17 @@ Line names:   H1  a+  a-  A+  A-  x  D
 
 An expression must stay inside one of the two families; the evaluator
 returns the space tag together with the built operator.
+
+Parsing and building stay bounded:
+
+- parentheses and brackets, and the sums, products, powers and
+  commutators of the syntax tree, nest at most MAX_NESTING levels
+  (deeper is a syntax error at the byte offset where the limit is hit);
+- an exponent is at most MAX_EXPONENT, and no product, power or
+  commutator may build an operator of degree above MAX_DEGREE; either
+  excess raises DepthExceeded.  The degree of an operator is the largest
+  sum of the absolute powers and derivative orders of one of its terms,
+  so the degree of a product is at most the sum of its factors' degrees.
 """
 
 from __future__ import annotations
@@ -27,7 +38,13 @@ from fractions import Fraction
 
 from .algebra1d import DiffOp1D, build_op_1d
 from .algebra2d import DiffOp2D, build_op_2d
-from .errors import ArityError, DomainError, OpSyntaxError, UnknownNameError
+from .errors import ArityError, DepthExceeded, DomainError, OpSyntaxError, UnknownNameError
+
+MAX_NESTING = 64
+MAX_EXPONENT = 64
+# The lab's identities need degree 6 at most; a commutator of two dense
+# planar operators of degree 6 already takes seconds.
+MAX_DEGREE = 12
 
 NAMES_2D = {
     "H": "H",
@@ -168,6 +185,8 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0  # open parentheses and brackets
+        self.heights = {}  # id(node) -> levels of composite nodes down from it
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -183,10 +202,24 @@ class _Parser:
             return self.take()
         raise OpSyntaxError("expected %r" % ch, t.pos)
 
+    def _open(self, t: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise OpSyntaxError("nesting deeper than %d levels" % MAX_NESTING, t.pos)
+
+    def _nest(self, node, children, pos: int):
+        """node, unless it nests deeper than MAX_NESTING levels."""
+        h = 1 + max(self.heights.get(id(c), 0) for c in children)
+        if h > MAX_NESTING:
+            raise OpSyntaxError("nesting deeper than %d levels" % MAX_NESTING, pos)
+        self.heights[id(node)] = h
+        return node
+
     def expr(self):
         terms = []
         sign = 1
         t = self.peek()
+        start = t.pos
         if t.kind == "sym" and t.text == "-":
             self.take()
             sign = -1
@@ -200,7 +233,7 @@ class _Parser:
                 break
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
-        return Sum(tuple(terms))
+        return self._nest(Sum(tuple(terms)), [t for _, t in terms], start)
 
     def _starts_factor(self, t: _Token) -> bool:
         if t.kind in ("num", "name"):
@@ -208,6 +241,7 @@ class _Parser:
         return t.kind == "sym" and t.text in "(["
 
     def term(self):
+        start = self.peek().pos
         factors = [self.factor()]
         while True:
             t = self.peek()
@@ -220,7 +254,7 @@ class _Parser:
                 break
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(factors))
+        return self._nest(Product(tuple(factors)), factors, start)
 
     def factor(self):
         node = self.atom()
@@ -232,7 +266,12 @@ class _Parser:
                 if e.kind != "num" or "/" in e.text:
                     raise OpSyntaxError("exponent must be a non-negative integer", e.pos)
                 self.take()
-                node = Power(node, int(e.text))
+                digits = e.text.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                    raise DepthExceeded(
+                        "exponent %s exceeds %d (at byte %d)" % (e.text, MAX_EXPONENT, e.pos)
+                    )
+                node = self._nest(Power(node, int(digits)), [node], t.pos)
             else:
                 return node
 
@@ -262,9 +301,12 @@ class _Parser:
                 if neg:
                     alpha = -alpha
             return NameLeaf(t.text, alpha)
+        if t.kind == "sym" and t.text in "([":
+            self._open(t)
         if t.kind == "sym" and t.text == "(":
             inner = self.expr()
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         if t.kind == "sym" and t.text == "[":
             first = self.expr()
@@ -277,14 +319,19 @@ class _Parser:
             if nxt.kind == "sym" and nxt.text == ",":
                 raise ArityError("commutator takes exactly two arguments, got more")
             self.expect_sym("]")
-            return Commutator(first, second)
+            self.depth -= 1
+            return self._nest(Commutator(first, second), [first, second], t.pos)
         if t.kind == "end":
             raise OpSyntaxError("unexpected end of expression", t.pos)
         raise OpSyntaxError("unexpected token %r" % t.text, t.pos)
 
 
 def parse_expr(src: str):
-    """Parse the expression language; raises OpSyntaxError with a byte offset."""
+    """Parse the expression language.
+
+    Raises OpSyntaxError with a byte offset, and DepthExceeded for an
+    exponent above MAX_EXPONENT.
+    """
     if not src or src.isspace():
         raise OpSyntaxError("empty expression", 0)
     p = _Parser(src)
@@ -370,8 +417,25 @@ def infer_space(node) -> str:
     return "1d" if has1 else "2d"
 
 
+def _degree(op) -> Fraction:
+    """Largest sum of absolute powers and derivative orders over op's terms."""
+    return max((sum(abs(x) for x in key) for key in op._terms), default=Fraction(0))
+
+
+def _check_degree(degree, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise DepthExceeded(
+            "%s would build an operator of degree up to %s, above %d"
+            % (what, degree, MAX_DEGREE)
+        )
+
+
 def eval_expr(node):
-    """Build the operator; returns (space, DiffOp1D | DiffOp2D)."""
+    """Build the operator; returns (space, DiffOp1D | DiffOp2D).
+
+    Raises DepthExceeded before a product, power or commutator whose
+    degree could exceed MAX_DEGREE is built.
+    """
     space = infer_space(node)
     ident = DiffOp1D.identity() if space == "1d" else DiffOp2D.identity()
 
@@ -393,16 +457,20 @@ def eval_expr(node):
         if isinstance(n, Product):
             acc = ev(n.factors[0])
             for f in n.factors[1:]:
-                acc = acc * ev(f)
+                v = ev(f)
+                _check_degree(_degree(acc) + _degree(v), "a product")
+                acc = acc * v
             return acc
         if isinstance(n, Power):
             acc = ident
             base = ev(n.base)
+            _check_degree(_degree(base) * n.exponent, "a power")
             for _ in range(n.exponent):
                 acc = acc * base
             return acc
         if isinstance(n, Commutator):
             a, b = ev(n.lhs), ev(n.rhs)
+            _check_degree(_degree(a) + _degree(b), "a commutator")
             return a * b - b * a
         raise DomainError("not an expression node: %r" % (n,))
 

@@ -8,12 +8,17 @@ hence distinct canonical term maps denote distinct reals and equality is
 decidable term by term.  The empty map is zero.
 
 On top of that base field the module provides polynomials in the
-regulator eps (`EpsScalar`), truncated Laurent data in eps
-(`LaurentValue`, pole and constant coefficient only), exact gamma values
-on half-integer arguments, and the Laurent expansion of gamma along an
-eps-deformed argument.  Digamma constants are excluded from the exact
-field: when a gamma evaluation sits on a pole only the residue is exact
-and the constant term is tracked numerically.
+regulator eps (`EpsScalar`, a sparse map from eps power to nonzero
+coefficient), truncated Laurent data in eps (`LaurentValue`, pole and
+constant coefficient only), exact gamma values on half-integer
+arguments, and the Laurent expansion of gamma along an eps-deformed
+argument.  Digamma constants are excluded from the exact field: when a
+gamma evaluation sits on a pole only the residue is exact and the
+constant term is tracked numerically.
+
+Both scalar rings, and the states and operators of the algebra modules,
+are built on one sparse term-map core (`_TermMap`); both rings divide
+through one exact long division (`_long_div`).
 
 All values are immutable and every function is pure.
 """
@@ -80,42 +85,173 @@ def _join_signed(parts, pad: str = " ") -> str:
 
 
 # ---------------------------------------------------------------------------
+# the shared term-map core
+# ---------------------------------------------------------------------------
+
+
+class _TermMap:
+    """Immutable finite map from term keys to nonzero coefficients.
+
+    The common core of both scalar rings and of the line and planar
+    states and operators.  A subclass supplies the coercion of one input
+    term, ``_term`` (by default its ``_key`` and ``_coeff`` coercions,
+    which also validate), its ``terms()`` order and the text of one term.
+    Construction runs every term through the coercion, merges repeated
+    keys and drops zero sums, so two maps of a class are equal exactly
+    when their term dicts and their markers are.
+    """
+
+    __slots__ = ("_terms",)
+    _pad = " "  # around the signs that join term texts
+
+    def __init__(self, terms=None):
+        canon: dict = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for key, c in items:
+                _put(canon, *self._term(key, c))
+        object.__setattr__(self, "_terms", canon)
+
+    def _term(self, key, c):
+        return self._key(key), self._coeff(c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _like(self, terms: dict):
+        """A map of this class over terms that are already canonical.
+
+        The dict is taken over, not copied.  Subclasses with a marker
+        carry self's marker over.
+        """
+        out = object.__new__(type(self))
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    def _marker(self):
+        """The field besides the terms that takes part in == and hash."""
+        return None
+
+    @staticmethod
+    def _lift(other):
+        """other as a map of this class, or None (a scalar ring lifts its subrings)."""
+        return None
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return self._terms == other._terms and self._marker() == other._marker()
+
+    def __hash__(self):
+        return hash((self._marker(), frozenset(self._terms.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            _put(out, key, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def scaled(self, c):
+        c = self._coeff(c)
+        if not c:
+            return self._like({})
+        return self._like({key: v * c for key, v in self._terms.items()})
+
+    def text(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = [self._term_text(key, c) for key, c in self.terms()]
+        return _join_signed(parts, self._pad)
+
+    def __repr__(self):
+        return "%s<%s>" % (type(self).__name__, self.text())
+
+
+def _long_div(f: dict, g: dict, cdiv, laurent: bool):
+    """Exact quotient of two graded sums {grade: coefficient}, or None.
+
+    Long division from the top grade down by a nonzero g; ``cdiv``
+    divides two coefficients exactly or returns None.  An exact quotient
+    starts at grade min(f) - min(g): a Laurent quotient may start below
+    zero, a polynomial one (``laurent`` false) may not.
+    """
+    quot: dict = {}
+    if not f:
+        return quot
+    low = min(f) - min(g)
+    if low < 0 and not laurent:
+        return None
+    rem = dict(f)
+    gtop = max(g)
+    while rem:
+        top = max(rem)
+        shift = top - gtop
+        if shift < low:
+            return None
+        t = cdiv(rem[top], g[gtop])
+        if t is None:
+            return None
+        quot[shift] = t
+        t = -t
+        for k, c in g.items():
+            _put(rem, k + shift, t * c)
+    return quot
+
+
+# ---------------------------------------------------------------------------
 # graded scalars
 # ---------------------------------------------------------------------------
 
 
-class GradedScalar:
+class GradedScalar(_TermMap):
     """Immutable element of Q[2^(1/2), pi^(1/2), pi^(-1/2)].
 
     Terms are keyed by the grade pair (j, k); construction canonicalizes
-    j to {0, 1} and drops zero coefficients.
+    j to {0, 1} and drops zero coefficients.  The text form reads like
+    ``-2*pi^(3/2)`` or ``3/8*pi^(1/2) + 1/2``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        canon: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (j, k), q in items:
-                q = _as_fraction(q)
-                if not q:
-                    continue
-                j = int(j)
-                r = j % 2
-                # 2^(j/2) = 2^((j-r)/2) * 2^(r/2) with the first factor rational
-                _put(canon, (r, int(k)), q * Fraction(2) ** ((j - r) // 2))
-        object.__setattr__(self, "_terms", canon)
-        object.__setattr__(self, "_hash", None)
+    @staticmethod
+    def _term(grade, q):
+        j, k = grade
+        j = int(j)
+        # 2^(j/2) = 2^(j//2) * 2^((j%2)/2) with the first factor rational
+        return (j % 2, int(k)), _as_fraction(q) * Fraction(2) ** (j // 2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedScalar is immutable")
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, (int, Fraction)):
+            return GradedScalar.rational(other)
+        return None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "GradedScalar":
-        return _GS_ZERO
 
     @classmethod
     def one(cls) -> "GradedScalar":
@@ -148,12 +284,6 @@ class GradedScalar:
         """Canonical term list sorted by grade (k, then j)."""
         return tuple(sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0])))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def as_fraction(self):
         """The value as a Fraction when it is purely rational, else None."""
         if not self._terms:
@@ -166,55 +296,24 @@ class GradedScalar:
         return self._terms.get((int(j) % 2, int(k)), _ZERO_FRACTION)
 
     # -- ring operations ----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, GradedScalar):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == GradedScalar.rational(other)._terms
-        return NotImplemented
+    # +, * and try_div sit in each scalar class's own dict, where the bench
+    # layer tracer patches them.
 
     def __hash__(self):
         # a rational value hashes as its Fraction, since the two compare equal
-        h = self._hash
-        if h is None:
-            q = self.as_fraction()
-            h = hash(q) if q is not None else hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        q = self.as_fraction()
+        return hash(q) if q is not None else super().__hash__()
 
-    def __neg__(self):
-        return GradedScalar({g: -q for g, q in self._terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedScalar.rational(other)
-        if not isinstance(other, GradedScalar):
-            return NotImplemented
-        out = dict(self._terms)
-        for g, q in other._terms.items():
-            _put(out, g, q)
-        return _gs_raw(out)
-
+    __add__ = _TermMap.__add__
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedScalar.rational(other)
-        if not isinstance(other, GradedScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
             if not q:
                 return _GS_ZERO
-            return _gs_raw({g: c * q for g, c in self._terms.items()})
-        if not isinstance(other, GradedScalar):
+            return self._like({g: c * q for g, c in self._terms.items()})
+        if type(other) is not GradedScalar:
             return NotImplemented
         out: dict[tuple[int, int], Fraction] = {}
         for (j1, k1), q1 in self._terms.items():
@@ -222,7 +321,7 @@ class GradedScalar:
                 j = j1 + j2
                 r = j % 2
                 _put(out, (r, k1 + k2), q1 * q2 * Fraction(2) ** ((j - r) // 2))
-        return _gs_raw(out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -230,44 +329,26 @@ class GradedScalar:
         """Exact quotient self/other within the ring, or None.
 
         The ring is the Laurent-polynomial ring F[y, 1/y] with y =
-        sqrt(pi) over the field F = Q(sqrt(2)), so division is ordinary
-        polynomial division after shifting out the lowest powers of y.
+        sqrt(pi) over the field F = Q(sqrt(2)), so this is long division
+        in powers of y, negative shifts included, whose coefficients are
+        the parts of self and other at each power of y (scalars at k = 0).
         """
         if not isinstance(other, GradedScalar) or not other:
             raise DomainError("division by zero scalar")
-        if not self:
-            return _GS_ZERO
-        f = _by_k(self)
-        g = _by_k(other)
-        fmin, gmin = min(f), min(g)
-        shift = fmin - gmin
-        # normalize both to polynomials in y with nonzero constant term
-        fpoly = {k - fmin: c for k, c in f.items()}
-        gpoly = {k - gmin: c for k, c in g.items()}
-        gdeg = max(gpoly)
-        glead = gpoly[gdeg]
-        quot: dict[int, tuple[Fraction, Fraction]] = {}
-        while fpoly:
-            fdeg = max(fpoly)
-            if fdeg < gdeg:
-                return None
-            t = _q2_div(fpoly[fdeg], glead)
-            dk = fdeg - gdeg
-            quot[dk] = t
-            for k, c in gpoly.items():
-                key = k + dk
-                acc = _q2_sub(fpoly.get(key, _Q2_ZERO), _q2_mul(t, c))
-                if acc == _Q2_ZERO:
-                    fpoly.pop(key, None)
-                else:
-                    fpoly[key] = acc
-        terms = {}
-        for dk, (a, b) in quot.items():
-            if a:
-                terms[(0, dk + shift)] = a
-            if b:
-                terms[(1, dk + shift)] = b
-        return GradedScalar(terms)
+        quot = _long_div(self._in_y(), other._in_y(), _sqrt2_field_div, laurent=True)
+        if quot is None:
+            return None
+        # j = 0 before j = 1 at each power: __float__ sums in dict order
+        return self._like(
+            {(j, k): q for k, c in quot.items() for (j, _), q in sorted(c._terms.items())}
+        )
+
+    def _in_y(self) -> dict:
+        """{k: c_k} with self = sum of c_k * pi^(k/2), each c_k in Q(sqrt(2))."""
+        parts: dict[int, dict] = {}
+        for (j, k), q in self._terms.items():
+            parts.setdefault(k, {})[(j, 0)] = q
+        return {k: self._like(t) for k, t in parts.items()}
 
     # -- evaluation and formatting ------------------------------------------
 
@@ -280,62 +361,33 @@ class GradedScalar:
     def sort_key(self):
         return (float(self), tuple(sorted(self._terms.items())))
 
-    def text(self) -> str:
-        """Canonical display form, e.g. ``-2*pi^(3/2)`` or ``3/8*pi^(1/2) + 1/2``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for (j, k), q in self.terms():
-            factors = [str(q)]
-            if j == 1:
-                factors.append("2^(1/2)")
-            if k:
-                if k % 2 == 0:
-                    half = k // 2
-                    factors.append("pi" if half == 1 else "pi^(%d)" % half)
-                else:
-                    factors.append("pi^(%s)" % Fraction(k, 2))
-            parts.append("*".join(factors))
-        return _join_signed(parts)
-
-    def __repr__(self):
-        return "GradedScalar<%s>" % self.text()
+    def _term_text(self, grade, q) -> str:
+        j, k = grade
+        factors = [str(q)]
+        if j == 1:
+            factors.append("2^(1/2)")
+        if k:
+            if k % 2 == 0:
+                half = k // 2
+                factors.append("pi" if half == 1 else "pi^(%d)" % half)
+            else:
+                factors.append("pi^(%s)" % Fraction(k, 2))
+        return "*".join(factors)
 
 
 _ZERO_FRACTION = Fraction(0)
-_Q2_ZERO = (_ZERO_FRACTION, _ZERO_FRACTION)
 
 
-def _gs_raw(terms: dict) -> GradedScalar:
-    out = GradedScalar()
-    object.__setattr__(out, "_terms", terms)
-    object.__setattr__(out, "_hash", None)
-    return out
+def _sqrt2_field_div(x: GradedScalar, y: GradedScalar) -> GradedScalar:
+    """x/y for x, y in Q(sqrt(2)): x * conj(y) / (y * conj(y)), a rational norm."""
+    conj = y._like({g: -q if g[0] else q for g, q in y._terms.items()})
+    return x * conj * (1 / (y * conj).as_fraction())
 
 
-def _by_k(v: GradedScalar) -> dict[int, tuple[Fraction, Fraction]]:
-    """Regroup terms as {k: (a, b)} meaning (a + b*sqrt(2)) * pi^(k/2)."""
-    out: dict[int, tuple[Fraction, Fraction]] = {}
-    for (j, k), q in v._terms.items():
-        a, b = out.get(k, _Q2_ZERO)
-        out[k] = (a + q, b) if j == 0 else (a, b + q)
-    return out
-
-
-def _q2_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c + 2 * b * d, a * d + b * c)
-
-
-def _q2_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _q2_div(x, y):
-    c, d = y
-    n = c * c - 2 * d * d  # nonzero for nonzero (c, d): sqrt(2) is irrational
-    return _q2_mul(x, (c / n, -d / n))
+def _coerce_scalar(c) -> GradedScalar:
+    if isinstance(c, GradedScalar):
+        return c
+    return GradedScalar.rational(_as_fraction(c))
 
 
 _GS_ZERO = GradedScalar()
@@ -420,35 +472,29 @@ def scalar_sign(v: GradedScalar) -> int:
 # ---------------------------------------------------------------------------
 
 
-class EpsScalar:
+class EpsScalar(_TermMap):
     """Polynomial in the regulator eps with GradedScalar coefficients.
 
-    Stored as a coefficient tuple by ascending power with the trailing
-    coefficient nonzero; the empty tuple is zero.
+    A sparse term map from each eps power (>= 0) to its nonzero
+    coefficient.  The constructor takes the dense coefficient sequence
+    c0, c1, ... by ascending power, and ``coeffs()`` gives it back.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _pad = ""
+    _key = staticmethod(int)
+    _coeff = staticmethod(_coerce_scalar)
 
     def __init__(self, coeffs=()):
-        out = []
-        for c in coeffs:
-            if isinstance(c, (int, Fraction)):
-                c = GradedScalar.rational(c)
-            elif not isinstance(c, GradedScalar):
-                raise DomainError("EpsScalar coefficients must be scalars")
-            out.append(c)
-        while out and not out[-1]:
-            out.pop()
-        object.__setattr__(self, "_coeffs", tuple(out))
+        super().__init__(enumerate(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsScalar is immutable")
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, (int, Fraction, GradedScalar)):
+            return EpsScalar.of(other)
+        return None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "EpsScalar":
-        return _EPS_ZERO
 
     @classmethod
     def one(cls) -> "EpsScalar":
@@ -459,35 +505,29 @@ class EpsScalar:
         """Lift a rational or GradedScalar to a constant polynomial."""
         if isinstance(value, EpsScalar):
             return value
-        if isinstance(value, GradedScalar):
-            return cls((value,))
-        return cls((GradedScalar.rational(_as_fraction(value)),))
+        return cls((value,))
 
     @classmethod
     def affine(cls, c0, c1) -> "EpsScalar":
         """c0 + c1*eps."""
-        lift = lambda c: c if isinstance(c, GradedScalar) else GradedScalar.rational(c)
-        return cls((lift(c0), lift(c1)))
+        return cls((c0, c1))
 
     # -- inspection ---------------------------------------------------------
 
+    def terms(self) -> tuple:
+        """(power, coefficient) pairs by ascending power."""
+        return tuple(sorted(self._terms.items()))
+
     def coeffs(self) -> tuple:
-        return self._coeffs
+        """Dense coefficients by ascending power; the last one is nonzero."""
+        return tuple(self.coeff(p) for p in range(self.degree() + 1))
 
     def coeff(self, power: int) -> GradedScalar:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return _GS_ZERO
+        return self._terms.get(power, _GS_ZERO)
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for zero."""
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
+        return max(self._terms, default=-1)
 
     def eval0(self) -> GradedScalar:
         """Value at eps = 0."""
@@ -495,132 +535,63 @@ class EpsScalar:
 
     def as_fraction(self):
         """The value as a Fraction when constant and rational, else None."""
-        if not self._coeffs:
-            return Fraction(0)
-        if len(self._coeffs) == 1:
-            return self._coeffs[0].as_fraction()
-        return None
+        return self.eval0().as_fraction() if self.degree() <= 0 else None
 
     def is_affine_rational(self) -> bool:
-        return len(self._coeffs) <= 2 and all(
-            c.as_fraction() is not None for c in self._coeffs
+        return self.degree() <= 1 and all(
+            c.as_fraction() is not None for c in self._terms.values()
         )
 
     # -- ring operations ----------------------------------------------------
 
-    def __eq__(self, other):
-        if isinstance(other, EpsScalar):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction, GradedScalar)):
-            return self._coeffs == EpsScalar.of(other)._coeffs
-        return NotImplemented
-
     def __hash__(self):
         # a constant hashes as its coefficient, which it compares equal to
-        if len(self._coeffs) <= 1:
+        if self.degree() <= 0:
             return hash(self.eval0())
-        return hash(self._coeffs)
+        return super().__hash__()
 
-    def __neg__(self):
-        return EpsScalar(tuple(-c for c in self._coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GradedScalar)):
-            other = EpsScalar.of(other)
-        if not isinstance(other, EpsScalar):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return EpsScalar(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
+    __add__ = _TermMap.__add__
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GradedScalar)):
-            other = EpsScalar.of(other)
-        if not isinstance(other, EpsScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GradedScalar)):
-            other = EpsScalar.of(other)
-        if not isinstance(other, EpsScalar):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return _EPS_ZERO
-        n = len(self._coeffs) + len(other._coeffs) - 1
-        acc = [_GS_ZERO] * n
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    acc[i + j] = acc[i + j] + a * b
-        return EpsScalar(tuple(acc))
+        if type(other) is not EpsScalar:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        out: dict[int, GradedScalar] = {}
+        for i, a in self._terms.items():
+            for j, b in other._terms.items():
+                _put(out, i + j, a * b)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def try_div(self, other: "EpsScalar"):
         """Exact polynomial quotient self/other, or None."""
-        if isinstance(other, (int, Fraction, GradedScalar)):
-            other = EpsScalar.of(other)
+        other = EpsScalar.of(other)
         if not other:
             raise DomainError("division by zero polynomial")
-        if not self:
-            return _EPS_ZERO
-        rem = list(self._coeffs)
-        dg = other.degree()
-        lead = other._coeffs[-1]
-        if len(rem) - 1 < dg:
-            return None
-        quot = [_GS_ZERO] * (len(rem) - dg)
-        for top in range(len(rem) - 1, dg - 1, -1):
-            c = rem[top]
-            if not c:
-                continue
-            t = c.try_div(lead)
-            if t is None:
-                return None
-            quot[top - dg] = t
-            for i in range(dg + 1):
-                rem[top - dg + i] = rem[top - dg + i] - t * other._coeffs[i]
-        if any(rem):
-            return None
-        return EpsScalar(tuple(quot))
+        quot = _long_div(self._terms, other._terms, GradedScalar.try_div, laurent=False)
+        return None if quot is None else self._like(quot)
 
     # -- formatting ---------------------------------------------------------
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self._coeffs) or ((0.0, ()),)
+        """Dense per-power key, zero middle coefficients included."""
+        return tuple(c.sort_key() for c in self.coeffs()) or ((0.0, ()),)
 
-    def text(self) -> str:
-        """Compact display form, e.g. ``-1+e`` or ``2-e``."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for p, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if p == 0:
-                parts.append(c.text())
-                continue
-            e = "e" if p == 1 else "e^%d" % p
-            if c == _GS_ONE:
-                parts.append(e)
-            elif c == -_GS_ONE:
-                parts.append("-" + e)
-            else:
-                parts.append("%s*%s" % (_paren(c.text()), e))
-        return _join_signed(parts, pad="")
-
-    def __repr__(self):
-        return "EpsScalar<%s>" % self.text()
+    def _term_text(self, p, c) -> str:
+        """Compact forms: ``-1+e``, ``2-e``, ``(1 + 2^(1/2))*e^2``."""
+        if p == 0:
+            return c.text()
+        e = "e" if p == 1 else "e^%d" % p
+        if c == _GS_ONE:
+            return e
+        if c == -_GS_ONE:
+            return "-" + e
+        return "%s*%s" % (_paren(c.text()), e)
 
 
-_EPS_ZERO = EpsScalar()
 _EPS_ONE = EpsScalar((_GS_ONE,))
 
 

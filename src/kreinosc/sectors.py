@@ -57,14 +57,6 @@ def _gen_ops() -> dict:
     return {g: build_op_2d(g) for g in GENERATOR_ORDER}
 
 
-def _key_eps(v):
-    if v is None:
-        return None
-    if isinstance(v, EpsScalar):
-        return v
-    return EpsScalar.of(v)
-
-
 def _eps_text(v) -> str:
     return "?" if v is None else v.text()
 
@@ -186,8 +178,8 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     warnings = []
     nodes = []
     for i, s in enumerate(states):
-        e = _key_eps(eigencheck_2d(op_h, s))
-        q = _key_eps(eigencheck_2d(op_q, s))
+        e = eigencheck_2d(op_h, s)
+        q = eigencheck_2d(op_q, s)
         if e is None:
             warnings.append("node %d is not an energy eigenstate" % i)
         if q is None:

@@ -216,6 +216,17 @@ def test_eigencheck_negatives_and_scaling():
     assert eigencheck_1d(H, scaled) == Fraction(3, 2)
 
 
+def test_eigenvalues_stay_in_the_coefficient_ring():
+    rung1, _ = ladder_state_1d(1, 1)
+    energy = eigencheck_1d(build_op_1d("H1"), rung1)
+    assert isinstance(energy, GradedScalar)
+    assert energy == Fraction(3, 2) and hash(energy) == hash(Fraction(3, 2))
+    assert energy.text() == "3/2"
+    # a zero image gives the ring's zero
+    zero = eigencheck_1d(build_op_1d("a_minus", 1), solve_vacuum_1d(1))
+    assert isinstance(zero, GradedScalar) and zero.is_zero()
+
+
 def test_depth_limit_default_and_override(monkeypatch):
     assert depth_limit() == DEFAULT_DEPTH_LIMIT == 64
     monkeypatch.setenv(DEPTH_LIMIT_ENV, "3")

@@ -229,6 +229,15 @@ def test_deformed_eigenvalues_are_eps_affine():
     assert eigencheck_2d(build_op_2d("Q"), s).text() == "1-e"
 
 
+def test_eigenvalues_stay_in_the_coefficient_ring():
+    energy = eigencheck_2d(build_op_2d("H"), omega(1, 0))
+    assert isinstance(energy, EpsScalar)
+    assert energy == 2 and hash(energy) == hash(2)
+    # the vacuum is annihilated by the lowering b-+: the ring's zero
+    zero = eigencheck_2d(build_op_2d("b_mp"), psi0())
+    assert isinstance(zero, EpsScalar) and zero.is_zero()
+
+
 def test_eigencheck_survives_scaling():
     s = omega(0, 1).scaled(EpsScalar.of(Fraction(-7, 3)))
     assert eigencheck_2d(build_op_2d("H"), s) == 2

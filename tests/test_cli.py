@@ -7,6 +7,7 @@ to stderr and return 1; malformed command lines exit 2 via argparse.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from kreinosc import (
 )
 from kreinosc.cli import main
 from kreinosc.jsonio import (
+    MAX_EPS_POWER,
     dark_to_json,
     gram_to_json,
     quotient_to_json,
@@ -355,6 +357,24 @@ def test_localize_zero_state(capsys, tmp_path):
     }
 
 
+def test_eps_power_above_the_bound_is_refused_fast(capsys, tmp_path):
+    def state_at(power):
+        doc = state2d_to_json(omega(-1, 0))
+        doc["terms"][0]["coeff"][0]["power"] = power
+        return write_doc(tmp_path, "p%d.json" % power, doc)
+
+    doc = run_json(capsys, "localize", "--state", "file:" + state_at(MAX_EPS_POWER))
+    assert doc["deformed"] is False
+    for power in (MAX_EPS_POWER + 1, 3_000_000, 10**9):
+        start = time.perf_counter()
+        doc = run_error(capsys, "localize", "--state", "file:" + state_at(power))
+        assert time.perf_counter() - start < 1.0
+        assert doc == {
+            "error": "domain",
+            "message": "eps power %d exceeds the bound %d" % (power, MAX_EPS_POWER),
+        }
+
+
 def test_reduce_full_decomposition(capsys):
     doc = run_json(capsys, "reduce", "--state", "omega:-3/2,0")
     assert doc == {
@@ -479,6 +499,9 @@ def test_eval_error_codes(capsys):
     assert doc == {"error": "syntax", "message": "unexpected token '+' (at byte 5)"}
     assert run_error(capsys, "eval", "--expr", "[H1]")["error"] == "arity"
     assert run_error(capsys, "eval", "--expr", "a+")["error"] == "missing-parameter"
+    assert run_error(capsys, "eval", "--expr", "(" * 5000 + "H")["error"] == "syntax"
+    assert run_error(capsys, "eval", "--expr", "b++^99999999")["error"] == "depth-exceeded"
+    assert run_error(capsys, "eval", "--expr", "(b++^16)^16")["error"] == "depth-exceeded"
 
 
 # ---------------------------------------------------------------------------

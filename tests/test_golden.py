@@ -6,7 +6,8 @@ refactor that changes one output byte, one entry order or one counter
 fails here.  The cases cover every command line example of the README
 (``export --out`` in its stdout form, ``file:line.json`` read from a
 line state written to a temporary directory), every preset exported at
-depth 3 in all three formats, a deformed quotient report, and the
+depth 3 in all three formats, deformed sectors (quotient reports, exports
+whose nodes carry eps polynomials up to degree 2, a dark scan), and the
 package's ``__all__``.
 """
 
@@ -58,6 +59,13 @@ GOLDEN = {
     "export --preset half-z --depth 3 --format csv": "91f5bcfaa093ff568865a8114c03a7e4cfcc61d430336aba3210b3b30fa7466c",
     # deformed sector: the full quotient report of the renormalized pairing
     "gram --seed eps:-1 --depth 3": "d4c67696a458be478bc08cd54af5adba27deb06455709d6690baa0e1576653ab",
+    "gram --seed eps-conj:-1 --depth 3": "0d5f2b4eee1b29e1f8952e9b0221cd29be3e05c7d0c5ba240d067de7822282e4",
+    # deformed sectors exported with eps polynomials up to degree 2, and a
+    # dark scan that evaluates pairs of them
+    "export --seed eps:-1 --depth 4 --format json": "94b6ffa91b478d60adda5c36b3363d0a8f5f5dd0983850650d5e86ddfd2770b8",
+    "export --seed eps:-1 --depth 3 --format csv": "06fdbce280d2c8e8020bf593460128cc14b288c8e900dafdbb4c2d5a1c2e4a49",
+    "export --seed eps-conj:-1 --depth 3 --format dot": "459575d03a6ee805b33cb8c8444e864c573a0b97fd092558a52ec56ee84089d9",
+    "dark --a eps:-1 --b eps:-1 --depth 1 --degree 3": "1012a53d38974d02a2ae32f822a98b7197b4f607ed83ad986ed67f82d4a90822",
     ALL_NAMES: "d03289ce933628c9f2d8ea56d495af54bac393ba07a2cb6de560d9692643d0e5",
 }
 

@@ -21,6 +21,7 @@ from kreinosc import (
 )
 from kreinosc.jsonio import (
     EXACT_UNAVAILABLE,
+    MAX_EPS_POWER,
     audit_to_json,
     dark_to_json,
     eps_from_json,
@@ -123,6 +124,10 @@ def test_scalar_codec_rejections():
         eps_from_json([{"power": -1, "coeff": []}])
     with pytest.raises(DomainError):
         eps_from_json([{"power": "x", "coeff": []}])
+    one = [{"j": 0, "k": 0, "q": "1"}]
+    assert eps_from_json([{"power": MAX_EPS_POWER, "coeff": one}]).degree() == MAX_EPS_POWER
+    with pytest.raises(DomainError, match="exceeds the bound"):
+        eps_from_json([{"power": MAX_EPS_POWER + 1, "coeff": one}])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The little operator language: parsing, printing, evaluation, errors."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from kreinosc import (
     ArityError,
+    DepthExceeded,
     DomainError,
     MissingParameter,
     OpSyntaxError,
@@ -15,6 +17,9 @@ from kreinosc import (
 )
 from kreinosc.opexpr import (
     ALPHA_NAMES,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_NESTING,
     NAMES_1D,
     NAMES_2D,
     build_from_text,
@@ -156,3 +161,47 @@ def test_at_coupling_rules():
         build_from_text("a+@")
     with pytest.raises(OpSyntaxError, match="exponent must be a non-negative integer"):
         build_from_text("D^-1")
+
+
+def _fails_fast(exc, src):
+    start = time.perf_counter()
+    with pytest.raises(exc) as info:
+        build_from_text(src)
+    assert time.perf_counter() - start < 1.0
+    return info.value
+
+
+def test_nesting_beyond_the_limit_is_a_syntax_error_at_its_offset():
+    err = _fails_fast(OpSyntaxError, "(" * 5000 + "x" + ")" * 5000)
+    assert err.code == "syntax" and err.offset == MAX_NESTING
+    # brackets nest the same way, and so do chained powers: the caret of
+    # the first power past the limit is reported
+    assert _fails_fast(OpSyntaxError, "[" * 5000).offset == MAX_NESTING
+    assert _fails_fast(OpSyntaxError, "x" + "^1" * 5000).offset == 1 + 2 * MAX_NESTING
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert build_from_text(nested) == build_from_text("x")
+    assert build_from_text("x" + "^1" * MAX_NESTING) == build_from_text("x")
+
+
+def test_exponents_beyond_the_limit_raise_depth_exceeded():
+    for src in ("b++^99999999", "x 2^99999999", "D^" + "9" * 5000):
+        assert _fails_fast(DepthExceeded, src).code == "depth-exceeded"
+    assert _fails_fast(DepthExceeded, "D^%d" % (MAX_EXPONENT + 1))
+    _, op = build_from_text("x 2^%d" % MAX_EXPONENT)
+    assert op == build_op_1d("X").scaled(2**MAX_EXPONENT)
+
+
+def test_products_and_powers_beyond_the_degree_limit_raise_depth_exceeded():
+    for src in (
+        "(b++^16)^16",
+        "(b++^4)^4",
+        "b++^%d b--" % MAX_DEGREE,
+        "[H^4, H^4]",
+        "A+^%d" % MAX_DEGREE,
+    ):
+        assert _fails_fast(DepthExceeded, src).code == "depth-exceeded"
+    # at the limit itself
+    _, op = build_from_text("b++^%d" % MAX_DEGREE)
+    assert len(op.terms()) == MAX_DEGREE + 1
+    build_from_text("H1^%d" % (MAX_DEGREE // 2))
+
