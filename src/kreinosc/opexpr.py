@@ -175,6 +175,16 @@ def _tokenize(src: str) -> list:
     return toks
 
 
+def _rational(t: _Token) -> Fraction:
+    """The value of a rational literal token."""
+    try:
+        return Fraction(t.text)
+    except ValueError:  # more digits than Python converts to an int
+        raise OpSyntaxError("rational literal is too long", t.pos) from None
+    except ZeroDivisionError:
+        raise OpSyntaxError("rational literal has a zero denominator", t.pos) from None
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -278,7 +288,7 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t.kind == "num":
-            return ScalarLeaf(Fraction(t.text))
+            return ScalarLeaf(_rational(t))
         if t.kind == "name":
             alpha = None
             nxt = self.peek()
@@ -297,7 +307,7 @@ class _Parser:
                 if v.kind != "num":
                     raise OpSyntaxError("expected a rational after '@'", v.pos)
                 self.take()
-                alpha = Fraction(v.text)
+                alpha = _rational(v)
                 if neg:
                     alpha = -alpha
             return NameLeaf(t.text, alpha)

@@ -16,10 +16,13 @@ corrected form.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .algebra1d import DiffOp1D, apply_1d, build_op_1d, compose_1d, solve_vacuum_1d
 from .algebra2d import (
@@ -36,7 +39,7 @@ from .algebra2d import (
     renorm_inner,
     states_proportional,
 )
-from .errors import DomainError, NotConvergent, PoleError, UnsupportedFormat
+from .errors import DepthExceeded, DomainError, NotConvergent, PoleError, UnsupportedFormat
 from .scalars import (
     GS_ZERO,
     EpsScalar,
@@ -46,9 +49,17 @@ from .scalars import (
 )
 
 GENERATOR_ORDER = ("b_pp", "b_pm", "b_mp", "b_mm")
+_GEN_RANK = {g: i for i, g in enumerate(GENERATOR_ORDER)}
 
 MAX_DEPTH = 16
 MAX_DARK_DEGREE = 6
+
+# Work budget of one dark scan: the word images plus the pair evaluations
+# that charge reachability predicts before any image is built (see
+# dark_check).  The largest scans in use, vacuum@3 x vacuum@3 at degree 4
+# and 5, predict 2774 and 6490; a unit costs 0.15-0.4 ms, so an accepted
+# scan ends within about 5 s.
+MAX_DARK_WORK = 12_000
 
 _HALF = Fraction(1, 2)
 
@@ -147,6 +158,9 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     states: list[State2D] = [seed]
     depths: list[int] = [0]
     edges: list[Edge] = []
+    # proportional states share their monomial keys, so an image is only
+    # compared with the nodes of its own key set, in index order
+    by_keys = {frozenset(seed._terms): [0]}
     frontier = [0]
     for d in range(1, depth + 1):
         new_frontier = []
@@ -155,8 +169,9 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                 img = apply_2d(ops[g], states[i])
                 if img.is_zero():
                     continue
-                for j, s in enumerate(states):
-                    ratio = states_proportional(img, s)
+                bucket = by_keys.setdefault(frozenset(img._terms), [])
+                for j in bucket:
+                    ratio = states_proportional(img, states[j])
                     if ratio is not None:
                         edges.append(Edge(i, j, g, ratio[0], ratio[1]))
                         break
@@ -171,6 +186,7 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                         num = EpsScalar.one()
                     depths.append(d)
                     j = len(states) - 1
+                    bucket.append(j)
                     edges.append(Edge(i, j, g, num, EpsScalar.one()))
                     new_frontier.append(j)
         frontier = new_frontier
@@ -453,6 +469,56 @@ def _word_text(w) -> str:
     return " ".join(w) if w else "1"
 
 
+def _ladder_algebra() -> tuple:
+    """(charge shift of each generator, ordered pairs of generators that commute).
+
+    The shift is read off the operator's terms: zbar^pb z^p dzbar^rb dz^r
+    moves the charge -L + M of every monomial by -pb + p + rb - r.
+    """
+    ops = _gen_ops()
+    shifts = {}
+    for g, op in ops.items():
+        found = {-pb + p + rb - r for pb, p, rb, r in op._terms}
+        assert len(found) == 1, "%s shifts the charges of monomials unevenly" % g
+        shift = found.pop()
+        assert shift.denominator == 1, "%s shifts charges by a fraction" % g
+        shifts[g] = int(shift)
+    commuting = set()
+    for g, h in combinations(ops, 2):
+        if commutator_2d(ops[g], ops[h]).is_zero():
+            commuting |= {(g, h), (h, g)}
+    return shifts, frozenset(commuting)
+
+
+def _normal_form(word, commuting) -> tuple:
+    """The lexicographically least word equal to ``word`` under commuting swaps.
+
+    Greedy: the next letter is the least one that commutes with every
+    letter before it.
+    """
+    rest = list(word)
+    out = []
+    while rest:
+        movable = [k for k, g in enumerate(rest) if all((h, g) in commuting for h in rest[:k])]
+        out.append(rest.pop(min(movable, key=lambda k: _GEN_RANK[rest[k]])))
+    return tuple(out)
+
+
+@functools.cache
+def _scan_words(max_degree: int) -> tuple:
+    """(word, its normal form, its charge shift) for every word up to max_degree.
+
+    Words come in scan order: by degree, then lexicographically in
+    GENERATOR_ORDER, so a normal form precedes the rest of its class.
+    """
+    shifts, commuting = _ladder_algebra()
+    return tuple(
+        (word, _normal_form(word, commuting), sum(shifts[g] for g in word))
+        for degree in range(max_degree + 1)
+        for word in product(GENERATOR_ORDER, repeat=degree)
+    )
+
+
 def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkReport:
     """Test every <node of a, M (node of b)> element for vanishing.
 
@@ -460,59 +526,124 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     ladder generators (the identity included), modelling a polynomial
     interaction term.  The pair of sectors is dark when every
     renormalized element is exactly zero; the report lists only the
-    nonzero survivors.  Charge superselection prunes the scan: a pair
-    whose charge supports are disjoint vanishes without evaluation.
-    Pairings without a finite renormalized value (surviving pole, or a
-    bare gamma pole with no regulator) are recorded as obstructions and
-    count as non-dark.
+    nonzero survivors, word by word in lexicographic order of
+    GENERATOR_ORDER, then by node of a and node of b.  Charge
+    superselection prunes the scan: a pair whose charge supports are
+    disjoint vanishes without evaluation.  Pairings without a finite
+    renormalized value (surviving pole, or a bare gamma pole with no
+    regulator) are recorded as obstructions and count as non-dark.
+
+    Two facts of the algebra keep the scan small without changing the
+    report:
+
+    * Charge reachability.  Each generator shifts the charge of every
+      monomial by the same integer (b_pp +1, b_pm -1, b_mp -1, b_mm +1)
+      and keeps the eps slopes, so a word w of degree d with total shift
+      sigma(w) maps a charge (c, s) of node j to (c + sigma(w), s).  The
+      image of node j under w is built only when some charge (c, s) of j
+      and some charge (c', s) of sector a leave t = c' - c - sigma(w) an
+      integer with |t| <= max_degree - d, and then only when a pairing
+      needs it (t = 0 for w or for an extension of w).
+    * Commutation classes.  [b_pp, b_pm] = [b_mp, b_mm] = [b_pm, b_mp] =
+      [b_pp, b_mm] = 0, so words that differ by swapping such neighbours
+      are one operator.  Only the lexicographically least word of each
+      class is extended and evaluated; the others repeat its pairs and
+      entries under their own text.
+
+    Before any image is built, the images and pair evaluations that the
+    reachability rule predicts are counted; a scan above MAX_DARK_WORK
+    raises DepthExceeded.
     """
     max_degree = int(max_degree)
     if max_degree < 0 or max_degree > MAX_DARK_DEGREE:
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
     ops = _gen_ops()
     states_a = [n.state for n in a.nodes]
+    states_b = [n.state for n in b.nodes]
     charges_a = [frozenset(s.charges()) for s in states_a]
+    charges_b = [s.charges() for s in states_b]
+    # offsets[i][j]: the word shifts that carry a charge of node j of b
+    # onto a charge of node i of a
+    offsets = [
+        [
+            {
+                int(t)
+                for t in (qa - qb for qa, sa in ca for qb, sb in cb if sa == sb)
+                if t.denominator == 1
+            }
+            for cb in charges_b
+        ]
+        for ca in charges_a
+    ]
+    reach = [set().union(*(row[j] for row in offsets)) for j in range(len(states_b))]
+
+    words = _scan_words(max_degree)
+    # (degree, shift) -> number of normal forms
+    classes = Counter((len(word), shift) for word, canon, shift in words if word == canon)
+    hits = Counter(t for row in offsets for cell in row for t in cell)
+    n_images = n_evaluations = 0
+    for (degree, shift), n in classes.items():
+        n_evaluations += n * hits[shift]
+        if degree:
+            left = max_degree - degree
+            n_images += n * sum(any(abs(t - shift) <= left for t in r) for r in reach)
+    if n_images + n_evaluations > MAX_DARK_WORK:
+        raise DepthExceeded(
+            "dark scan predicts %d word images and %d pair evaluations, above the "
+            "budget of %d; lower the degree or the sector depth"
+            % (n_images, n_evaluations, MAX_DARK_WORK)
+        )
+
+    built = {((), j): s for j, s in enumerate(states_b)}
+
+    def image(word, j):
+        # extend the longest prefix already built; prefixes of a normal
+        # form are normal forms
+        k = len(word)
+        while (word[:k], j) not in built:
+            k -= 1
+        img = built[word[:k], j]
+        for m in range(k, len(word)):
+            img = built[word[: m + 1], j] = apply_2d(ops[word[m]], img)
+        return img
+
+    found = {}  # normal form -> (pairs checked, [(node a, node b, value, note)])
     entries = []
     pairs = 0
-    n_words = 0
-    level = {(): [n.state for n in b.nodes]}
-    for degree in range(max_degree + 1):
-        for word, images in level.items():
-            n_words += 1
-            image_charges = [frozenset(s.charges()) for s in images]
+    for word, canon, shift in words:
+        if canon not in found:  # the first word of its class is its normal form
+            images = {j: image(word, j) for j, r in enumerate(reach) if shift in r}
+            image_charges = {
+                j: frozenset(img.charges()) for j, img in images.items() if not img.is_zero()
+            }
+            n = 0
+            survivors = []
             for i, sa in enumerate(states_a):
-                qa = charges_a[i]
-                for j, img in enumerate(images):
-                    if img.is_zero() or not (qa & image_charges[j]):
+                for j, qb in image_charges.items():
+                    if not charges_a[i] & qb:
                         continue
-                    pairs += 1
+                    n += 1
                     try:
-                        v = renorm_inner(sa, img)
+                        v = renorm_inner(sa, images[j])
                     except NotConvergent:
-                        entries.append(
-                            DarkEntry(_word_text(word), i, j, None, "divergent")
-                        )
+                        survivors.append((i, j, None, "divergent"))
                         continue
                     except PoleError:
-                        entries.append(
-                            DarkEntry(_word_text(word), i, j, None, "gamma-pole")
-                        )
+                        survivors.append((i, j, None, "gamma-pole"))
                         continue
                     if v:
-                        entries.append(DarkEntry(_word_text(word), i, j, v))
-        if degree == max_degree:
-            break
-        nxt = {}
-        for word, images in level.items():
-            for g in GENERATOR_ORDER:
-                nxt[word + (g,)] = [apply_2d(ops[g], s) for s in images]
-        level = nxt
+                        survivors.append((i, j, v, ""))
+            found[canon] = (n, survivors)
+        n, survivors = found[canon]
+        pairs += n
+        text = _word_text(word)
+        entries += [DarkEntry(text, i, j, v, note) for i, j, v, note in survivors]
     return DarkReport(
         is_dark=not entries,
         max_degree=max_degree,
         nodes_a=len(states_a),
-        nodes_b=len(b.nodes),
-        monomials=n_words,
+        nodes_b=len(states_b),
+        monomials=len(words),
         pairs_checked=pairs,
         entries=tuple(entries),
     )
@@ -761,8 +892,7 @@ def _sorted_nodes(lattice: SectorLattice):
 
 
 def _sorted_edges(lattice: SectorLattice):
-    gen_rank = {g: i for i, g in enumerate(GENERATOR_ORDER)}
-    return sorted(lattice.edges, key=lambda e: (e.src, e.dst, gen_rank[e.generator]))
+    return sorted(lattice.edges, key=lambda e: (e.src, e.dst, _GEN_RANK[e.generator]))
 
 
 def lattice_export(lattice: SectorLattice, fmt: str) -> str:

@@ -310,6 +310,19 @@ def test_dark_file_operands(capsys, tmp_path):
     assert doc["message"] == "dark scan operands must be planar"
 
 
+def test_dark_scan_above_the_work_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    doc = run_error(capsys, "dark", "--a", "vacuum", "--b", "vacuum",
+                    "--depth", "6", "--degree", "5")
+    assert doc["error"] == "depth-exceeded"
+    assert doc["message"].startswith("dark scan predicts 8404 word images and 20472 pair")
+    # the degree bound is checked first
+    doc = run_error(capsys, "dark", "--a", "vacuum", "--b", "vacuum",
+                    "--depth", "16", "--degree", "7")
+    assert doc["error"] == "domain"
+    assert time.perf_counter() - start < 5
+
+
 # ---------------------------------------------------------------------------
 # localize / reduce
 # ---------------------------------------------------------------------------
@@ -502,6 +515,8 @@ def test_eval_error_codes(capsys):
     assert run_error(capsys, "eval", "--expr", "(" * 5000 + "H")["error"] == "syntax"
     assert run_error(capsys, "eval", "--expr", "b++^99999999")["error"] == "depth-exceeded"
     assert run_error(capsys, "eval", "--expr", "(b++^16)^16")["error"] == "depth-exceeded"
+    doc = run_error(capsys, "eval", "--expr", "x " + "9" * 5000)
+    assert doc == {"error": "syntax", "message": "rational literal is too long (at byte 2)"}
 
 
 # ---------------------------------------------------------------------------

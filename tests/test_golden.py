@@ -7,8 +7,9 @@ fails here.  The cases cover every command line example of the README
 (``export --out`` in its stdout form, ``file:line.json`` read from a
 line state written to a temporary directory), every preset exported at
 depth 3 in all three formats, deformed sectors (quotient reports, exports
-whose nodes carry eps polynomials up to degree 2, a dark scan), and the
-package's ``__all__``.
+whose nodes carry eps polynomials up to degree 2, a dark scan), dark
+scans of equal, charge-sharing and charge-disjoint sectors up to degree
+5, and the package's ``__all__``.
 """
 
 import hashlib
@@ -66,6 +67,11 @@ GOLDEN = {
     "export --seed eps:-1 --depth 3 --format csv": "06fdbce280d2c8e8020bf593460128cc14b288c8e900dafdbb4c2d5a1c2e4a49",
     "export --seed eps-conj:-1 --depth 3 --format dot": "459575d03a6ee805b33cb8c8444e864c573a0b97fd092558a52ec56ee84089d9",
     "dark --a eps:-1 --b eps:-1 --depth 1 --degree 3": "1012a53d38974d02a2ae32f822a98b7197b4f607ed83ad986ed67f82d4a90822",
+    # dark scans whose words repeat operators (commuting generators) and
+    # whose images reach sector a only after several steps, or never
+    "dark --a vacuum --b vacuum --depth 3 --degree 4": "e64de64a127c5c053b518cce6104c748d937e3b4a196dddfdd23f187922048b9",
+    "dark --a half-zbar --b half-z --depth 2 --degree 4": "66c995ab7c8147523248e2b69422aeb0087fc96d506218336610f63a004070a8",
+    "dark --a vacuum --b half-zbar --depth 2 --degree 5": "ae854f06eaae285d8fa6d72b661d1d1a2a19b79f2f7f06b393981b5dfa01d370",
     ALL_NAMES: "d03289ce933628c9f2d8ea56d495af54bac393ba07a2cb6de560d9692643d0e5",
 }
 

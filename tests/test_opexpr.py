@@ -205,3 +205,20 @@ def test_products_and_powers_beyond_the_degree_limit_raise_depth_exceeded():
     assert len(op.terms()) == MAX_DEGREE + 1
     build_from_text("H1^%d" % (MAX_DEGREE // 2))
 
+
+
+def test_unconvertible_rational_literals_are_syntax_errors_at_their_offset():
+    long = "9" * 5000
+    for src, offset in (
+        ("x " + long, 2),
+        ("x 1/" + long, 2),
+        ("a+@" + long, 3),
+        ("a-@-" + long, 4),
+        ("3/0 x", 0),
+        ("a+@1/0", 3),
+    ):
+        err = _fails_fast(OpSyntaxError, src)
+        assert err.code == "syntax" and err.offset == offset
+    # the longest literal Python converts is still a number
+    _, op = build_from_text("x " + "9" * 4300)
+    assert op == build_op_1d("X").scaled(int("9" * 4300))
