@@ -289,7 +289,7 @@ def _dz_terms(terms: dict) -> dict:
     #     -coeff at (lam+1, mu) from the weight.
     out: dict[tuple, EpsScalar] = {}
     for (lam, ls, mu, ms), c in terms.items():
-        mult = EpsScalar.affine(2 * mu, 2 * ms) if ms else EpsScalar.of(2 * mu)
+        mult = EpsScalar.affine(2 * mu, 2 * ms) if ms else 2 * mu
         if mult:
             _put(out, (lam, ls, mu - 1, ms), c * mult)
         _put(out, (lam + 1, ls, mu, ms), -c)
@@ -299,7 +299,7 @@ def _dz_terms(terms: dict) -> dict:
 def _dzbar_terms(terms: dict) -> dict:
     out: dict[tuple, EpsScalar] = {}
     for (lam, ls, mu, ms), c in terms.items():
-        mult = EpsScalar.affine(2 * lam, 2 * ls) if ls else EpsScalar.of(2 * lam)
+        mult = EpsScalar.affine(2 * lam, 2 * ls) if ls else 2 * lam
         if mult:
             _put(out, (lam - 1, ls, mu, ms), c * mult)
         _put(out, (lam, ls, mu + 1, ms), -c)

@@ -25,6 +25,7 @@ All values are immutable and every function is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,11 @@ from .errors import DomainError, IndeterminateSign, PoleError
 # gamma's constant Laurent coefficient at a pole.
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# pi truncated to 49 fractional digits; the true value lies in
-# [_PI_LO, _PI_LO + 10^-49].  This bounds the resolution of interval
-# sign certification at roughly 1e-45, far below anything the exact
-# constructions here produce.
-_PI_LO = Fraction(31415926535897932384626433832795028841971693993751, 10**49)
-_PI_HI = _PI_LO + Fraction(1, 10**49)
+# Sign certification escalates through these working precisions, in bits;
+# pi is enclosed afresh at each (see _pi_interval), so a mixed-sign value
+# whose magnitude is above about 2^-1536 (times its coefficients' size)
+# gets a certified sign, and a smaller one raises IndeterminateSign.
+SIGN_BITS = (192, 512, 1536)
 
 
 def _as_fraction(x) -> Fraction:
@@ -315,12 +315,20 @@ class GradedScalar(_TermMap):
             return self._like({g: c * q for g, c in self._terms.items()})
         if type(other) is not GradedScalar:
             return NotImplemented
+        # j is 0 or 1, and 2^(1/2) * 2^(1/2) folds into the coefficient
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            ((j1, k1), q1), = self._terms.items()
+            ((j2, k2), q2), = other._terms.items()
+            if j1 and j2:
+                return self._like({(0, k1 + k2): q1 * q2 * 2})
+            return self._like({(j1 + j2, k1 + k2): q1 * q2})
         out: dict[tuple[int, int], Fraction] = {}
         for (j1, k1), q1 in self._terms.items():
             for (j2, k2), q2 in other._terms.items():
-                j = j1 + j2
-                r = j % 2
-                _put(out, (r, k1 + k2), q1 * q2 * Fraction(2) ** ((j - r) // 2))
+                if j1 and j2:
+                    _put(out, (0, k1 + k2), q1 * q2 * 2)
+                else:
+                    _put(out, (j1 + j2, k1 + k2), q1 * q2)
         return self._like(out)
 
     __rmul__ = __mul__
@@ -407,6 +415,49 @@ def _sqrt_interval(lo: Fraction, hi: Fraction, bits: int):
     return Fraction(a, scale), Fraction(b, scale)
 
 
+def _atan_inv_bounds(x: int, scale: int) -> tuple:
+    """Integers lo < scale * atan(1/x) < hi for an integer x > 1.
+
+    atan(1/x) = sum (-1)^n / ((2n+1) x^(2n+1)) alternates with falling
+    terms, so the tail after the last term kept is smaller than the first
+    term dropped, here below 1/scale.  Each kept term is floored, which
+    costs less than 1/scale per term.
+    """
+    total = n = 0
+    power = x
+    while True:
+        t = scale // ((2 * n + 1) * power)
+        if not t:
+            break
+        total += -t if n % 2 else t
+        n += 1
+        power *= x * x
+    return total - n - 1, total + n + 1
+
+
+@functools.cache
+def _pi_interval(bits: int) -> tuple:
+    """Rationals lo < pi < hi with hi - lo < 2^-bits.
+
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), with each arctan
+    enclosed by _atan_inv_bounds at 16 guard bits.  The width is about
+    7.4 * bits units of 2^-(bits + 16), so below 2^-bits for any bits up
+    to ~8000.
+    """
+    scale = 1 << (bits + 16)
+    lo5, hi5 = _atan_inv_bounds(5, scale)
+    lo239, hi239 = _atan_inv_bounds(239, scale)
+    return Fraction(16 * lo5 - 4 * hi239, scale), Fraction(16 * hi5 - 4 * lo239, scale)
+
+
+def __getattr__(name):
+    # _PI_LO/_PI_HI: the finest enclosure of pi that sign certification
+    # uses, built on first access and not at import
+    if name in ("_PI_LO", "_PI_HI"):
+        return _pi_interval(SIGN_BITS[-1])[name == "_PI_HI"]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 def _pow_interval(iv, e: int):
     lo, hi = iv
     if e >= 0:
@@ -425,9 +476,10 @@ def scalar_sign(v: GradedScalar) -> int:
     Single-grade values and values whose rational coefficients all share
     one sign are decided exactly (each monomial 2^(j/2)*pi^(k/2) is
     positive).  Mixed-sign values are certified by rational interval
-    arithmetic at escalating precision; a canonical nonzero value can
-    never be numerically zero, but if the enclosure stays astride zero
-    IndeterminateSign is raised rather than guessing.
+    arithmetic at the escalating precisions SIGN_BITS, with pi enclosed
+    afresh at each; a canonical nonzero value can never be numerically
+    zero, but if the enclosure still stays astride zero at the last
+    precision, IndeterminateSign is raised rather than guessing.
     """
     if not isinstance(v, GradedScalar):
         v = GradedScalar.rational(_as_fraction(v))
@@ -438,10 +490,10 @@ def scalar_sign(v: GradedScalar) -> int:
         return 1
     if signs == {False}:
         return -1
-    for bits in (192, 512, 1536):
+    for bits in SIGN_BITS:
         sqrt2 = _sqrt_interval(Fraction(2), Fraction(2), bits)
-        sqrtpi = _sqrt_interval(_PI_LO, _PI_HI, bits)
-        pi_iv = (_PI_LO, _PI_HI)
+        pi_iv = _pi_interval(bits)
+        sqrtpi = _sqrt_interval(*pi_iv, bits)
         lo = Fraction(0)
         hi = Fraction(0)
         for (j, k), q in v._terms.items():
@@ -554,10 +606,17 @@ class EpsScalar(_TermMap):
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GradedScalar)):
+            # a constant scales each coefficient; the ring has no zero divisors
+            if not other:
+                return self._like({})
+            return self._like({i: a * other for i, a in self._terms.items()})
         if type(other) is not EpsScalar:
-            other = self._lift(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            (i, a), = self._terms.items()
+            (j, b), = other._terms.items()
+            return self._like({i + j: a * b})
         out: dict[int, GradedScalar] = {}
         for i, a in self._terms.items():
             for j, b in other._terms.items():

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from types import MappingProxyType
 
 from .algebra1d import DiffOp1D, apply_1d, build_op_1d, compose_1d, solve_vacuum_1d
 from .algebra2d import (
@@ -54,6 +55,12 @@ _GEN_RANK = {g: i for i, g in enumerate(GENERATOR_ORDER)}
 MAX_DEPTH = 16
 MAX_DARK_DEGREE = 6
 
+# Node budget of one sector closure.  Closure and eigenvalues cost a few
+# ms per node, and an omega seed under all four generators grows fast
+# (omega:1/2,3: 652 nodes at depth 6, 2803 at depth 8).  The presets stay
+# below it at every depth up to MAX_DEPTH (289 nodes at most).
+MAX_SECTOR_NODES = 1000
+
 # Work budget of one dark scan: the word images plus the pair evaluations
 # that charge reachability predicts before any image is built (see
 # dark_check).  The largest scans in use, vacuum@3 x vacuum@3 at degree 4
@@ -66,6 +73,28 @@ _HALF = Fraction(1, 2)
 
 def _gen_ops() -> dict:
     return {g: build_op_2d(g) for g in GENERATOR_ORDER}
+
+
+@functools.cache
+def _ladder_shifts(name: str) -> MappingProxyType:
+    """Read-only {generator: d} with [op, b] = d b, d rational, for op = H or Q.
+
+    Read off the commutators and checked for exact proportionality, once
+    per process and on first use.  So op (b s) = (e + d) (b s) whenever
+    op s = e s.  Q is diagonal on monomials, so b also moves the charge
+    -L + M of every monomial by its Q shift.
+    """
+    op = build_op_2d(name)
+    shifts = {}
+    for g, b in _gen_ops().items():
+        comm = commutator_2d(op, b)
+        key = min(b._terms)
+        d = comm._terms.get(key, GS_ZERO).try_div(b._terms[key])
+        d = None if d is None else d.as_fraction()
+        exact = d is not None and comm == b.scaled(d)
+        assert exact, "[%s, %s] is not a rational multiple of %s" % (name, g, g)
+        shifts[g] = d
+    return MappingProxyType(shifts)
 
 
 def _eps_text(v) -> str:
@@ -137,9 +166,17 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     highest monomial whenever that rescaling is exactly invertible (a
     deformed leading coefficient like -1+e is not, and then the raw
     image is kept), with the scale recorded on the discovering edge.
-    Every node is keyed by its exact (energy, charge) eigenvalues; a
-    node failing either eigencheck is kept and reported in the lattice
-    warnings.
+    A closure that would pass MAX_SECTOR_NODES nodes raises
+    DepthExceeded before any eigenvalue is computed.
+
+    Every node is keyed by its exact (energy, charge) eigenvalues, taken
+    from the ladder algebra: [H, b] = dE(b) b and [Q, b] = dQ(b) b for
+    each generator b, so a node discovered as b s from a parent s with
+    H s = E s has H (b s) = (E + dE(b)) (b s), and likewise for Q; the
+    monic rescaling keeps this.  The seed, and any node whose parent has
+    no eigenvalue of that operator, is checked by applying H or Q (the
+    children of a non-eigenstate can still be eigenstates).  A node
+    failing either check is kept and reported in the lattice warnings.
     """
     depth = int(depth)
     if depth < 0 or depth > MAX_DEPTH:
@@ -152,11 +189,9 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
         raise DomainError("seed state is zero")
 
     ops = _gen_ops()
-    op_h = build_op_2d("H")
-    op_q = build_op_2d("Q")
-
     states: list[State2D] = [seed]
     depths: list[int] = [0]
+    parents: list[tuple] = [(None, None)]  # (discovering node, generator)
     edges: list[Edge] = []
     # proportional states share their monomial keys, so an image is only
     # compared with the nodes of its own key set, in index order
@@ -176,6 +211,11 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                         edges.append(Edge(i, j, g, ratio[0], ratio[1]))
                         break
                 else:
+                    if len(states) == MAX_SECTOR_NODES:
+                        raise DepthExceeded(
+                            "sector closure passes %d nodes at depth %d of %d; "
+                            "lower the depth" % (MAX_SECTOR_NODES, d, depth)
+                        )
                     lead = img._terms[max(img._terms)]
                     inv = EpsScalar.one().try_div(lead)
                     if inv is not None and inv != EpsScalar.one():
@@ -185,22 +225,31 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                         states.append(img)
                         num = EpsScalar.one()
                     depths.append(d)
+                    parents.append((i, g))
                     j = len(states) - 1
                     bucket.append(j)
                     edges.append(Edge(i, j, g, num, EpsScalar.one()))
                     new_frontier.append(j)
         frontier = new_frontier
 
-    warnings = []
-    nodes = []
-    for i, s in enumerate(states):
-        e = eigencheck_2d(op_h, s)
-        q = eigencheck_2d(op_q, s)
-        if e is None:
-            warnings.append("node %d is not an energy eigenstate" % i)
-        if q is None:
-            warnings.append("node %d is not a charge eigenstate" % i)
-        nodes.append(Node(i, s, e, q, depths[i]))
+    op_h = build_op_2d("H")
+    op_q = build_op_2d("Q")
+    energies, charges, warnings = [], [], []
+    for i, (s, (p, g)) in enumerate(zip(states, parents)):
+        for op, shifts, values, what in (
+            (op_h, _ladder_shifts("H"), energies, "an energy"),
+            (op_q, _ladder_shifts("Q"), charges, "a charge"),
+        ):
+            if p is not None and values[p] is not None:
+                v = values[p] + shifts[g]
+            else:
+                v = eigencheck_2d(op, s)
+                if v is None:
+                    warnings.append("node %d is not %s eigenstate" % (i, what))
+            values.append(v)
+    nodes = [
+        Node(i, s, e, q, d) for i, (s, e, q, d) in enumerate(zip(states, energies, charges, depths))
+    ]
 
     return SectorLattice(
         seed_text=seed_text if seed_text is not None else seed.text(),
@@ -470,19 +519,12 @@ def _word_text(w) -> str:
 
 
 def _ladder_algebra() -> tuple:
-    """(charge shift of each generator, ordered pairs of generators that commute).
-
-    The shift is read off the operator's terms: zbar^pb z^p dzbar^rb dz^r
-    moves the charge -L + M of every monomial by -pb + p + rb - r.
-    """
-    ops = _gen_ops()
+    """(charge shift of each generator, ordered pairs of generators that commute)."""
     shifts = {}
-    for g, op in ops.items():
-        found = {-pb + p + rb - r for pb, p, rb, r in op._terms}
-        assert len(found) == 1, "%s shifts the charges of monomials unevenly" % g
-        shift = found.pop()
-        assert shift.denominator == 1, "%s shifts charges by a fraction" % g
-        shifts[g] = int(shift)
+    for g, d in _ladder_shifts("Q").items():
+        assert d.denominator == 1, "%s shifts charges by a fraction" % g
+        shifts[g] = int(d)
+    ops = _gen_ops()
     commuting = set()
     for g, h in combinations(ops, 2):
         if commutator_2d(ops[g], ops[h]).is_zero():

@@ -323,6 +323,16 @@ def test_dark_scan_above_the_work_budget_fails_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_sector_closure_above_the_node_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    doc = run_error(capsys, "sector", "--seed", "omega:1/2,3", "--depth", "16")
+    assert doc == {
+        "error": "depth-exceeded",
+        "message": "sector closure passes 1000 nodes at depth 7 of 16; lower the depth",
+    }
+    assert time.perf_counter() - start < 10
+
+
 # ---------------------------------------------------------------------------
 # localize / reduce
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ line state written to a temporary directory), every preset exported at
 depth 3 in all three formats, deformed sectors (quotient reports, exports
 whose nodes carry eps polynomials up to degree 2, a dark scan), dark
 scans of equal, charge-sharing and charge-disjoint sectors up to degree
-5, and the package's ``__all__``.
+5, sector closures whose nodes are not all eigenstates or lie six levels
+deep, and the package's ``__all__``.
 """
 
 import hashlib
@@ -72,6 +73,10 @@ GOLDEN = {
     "dark --a vacuum --b vacuum --depth 3 --degree 4": "e64de64a127c5c053b518cce6104c748d937e3b4a196dddfdd23f187922048b9",
     "dark --a half-zbar --b half-z --depth 2 --degree 4": "66c995ab7c8147523248e2b69422aeb0087fc96d506218336610f63a004070a8",
     "dark --a vacuum --b half-zbar --depth 2 --degree 5": "ae854f06eaae285d8fa6d72b661d1d1a2a19b79f2f7f06b393981b5dfa01d370",
+    # sector closure: a seed whose lineage leaves and re-enters the energy
+    # eigenstates, and a deformed sector six levels deep
+    "export --seed omega:-1,2 --depth 4 --format json": "336d753d5681b1974a48e5fd47a5464ee9a2b883bfdaedf0b3bc721d8f235c35",
+    "gram --seed eps:-2 --depth 6": "ee13dd0dbf5c0b9464aac413d1e03cb3a391935562c3144584e786fb237b0be9",
     ALL_NAMES: "d03289ce933628c9f2d8ea56d495af54bac393ba07a2cb6de560d9692643d0e5",
 }
 

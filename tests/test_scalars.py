@@ -26,6 +26,7 @@ from kreinosc import (
     scalar_sign,
 )
 from kreinosc.scalars import _PI_HI, _PI_LO
+from kreinosc.scalars import SIGN_BITS, _pi_interval, _put
 
 from _oracles import EPS, eps_to_sympy, gs_to_sympy
 
@@ -464,3 +465,86 @@ def test_equal_values_hash_equal(q, g, e, slope):
     # a rational scalar is found under its Fraction key and the other way round
     assert {GradedScalar.rational(q): 1}.get(q) == 1
     assert {q: 1}.get(EpsScalar.of(q)) == 1
+
+
+# -- product fast paths keep the general product's term order ---------------
+# float() sums the terms in stored order, and sort keys use float(), so a
+# product must store its terms in the order of the general term-by-term loop.
+
+
+def _general_graded_product(a, b):
+    out = {}
+    for (j1, k1), q1 in a._terms.items():
+        for (j2, k2), q2 in b._terms.items():
+            j = j1 + j2
+            _put(out, (j % 2, k1 + k2), q1 * q2 * Fraction(2) ** (j // 2))
+    return list(out.items())
+
+
+def _eps_layout(terms: dict):
+    return [(p, list(c._terms.items())) for p, c in terms.items()]
+
+
+@given(graded, graded)
+def test_graded_product_stores_the_general_product(a, b):
+    assert list((a * b)._terms.items()) == _general_graded_product(a, b)
+    assert (GradedScalar.sqrt2() * GradedScalar.monomial(3, 1, 1)).text() == "6*pi^(1/2)"
+
+
+@given(eps_polys, st.one_of(eps_polys, graded_small, rationals, st.integers(-3, 3)))
+def test_eps_product_stores_the_general_product(a, c):
+    other = EpsScalar.of(c)
+    out = {}
+    for i, x in a._terms.items():
+        for j, y in other._terms.items():
+            _put(out, i + j, x * y)
+    assert _eps_layout((a * c)._terms) == _eps_layout(out)
+    if not isinstance(c, EpsScalar):  # a constant on the left scales a as well
+        assert _eps_layout((c * a)._terms) == _eps_layout(out)
+
+
+# -- certified pi --------------------------------------------------------------
+
+# Continued-fraction convergents p/q of pi 1.45e-50 and 8.33e-71 below it,
+# closer than the 49-digit constant that used to enclose pi could resolve.
+PI_CONVERGENTS = (
+    (23294267674065827396789607, 7414795692066647773964845),
+    (212564178171463672420858478430244273, 67661279360509603072431780067475929),
+)
+
+
+@pytest.mark.parametrize("p, q", PI_CONVERGENTS)
+def test_sign_resolves_pi_against_its_close_convergents(p, q):
+    gap = GradedScalar.pi() - GradedScalar.rational(Fraction(p, q))
+    assert scalar_sign(gap) == -1
+    assert scalar_sign(-gap) == 1
+
+
+def test_sign_of_pi_minus_each_convergent_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(300):
+        x, a = mpmath.pi, []
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        checked = 0
+        while True:
+            n = int(mpmath.floor(x))
+            x = 1 / (x - n)
+            p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
+            gap = mpmath.pi - mpmath.mpf(p1) / q1
+            if abs(gap) < mpmath.mpf(10) ** -80:
+                break
+            want = 1 if gap > 0 else -1
+            assert scalar_sign(GradedScalar.pi() - GradedScalar.rational(Fraction(p1, q1))) == want
+            checked += 1
+    assert checked > 70
+
+
+def test_pi_enclosures_are_certified_and_tight():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(600):
+        for bits in SIGN_BITS:
+            lo, hi = _pi_interval(bits)
+            assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.pi
+            assert mpmath.pi < mpmath.mpf(hi.numerator) / hi.denominator
+            assert (hi - lo) * 2**bits < 1
+    assert (_PI_LO, _PI_HI) == _pi_interval(SIGN_BITS[-1])
