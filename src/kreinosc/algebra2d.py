@@ -26,6 +26,7 @@ Everything is immutable and all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -376,6 +377,82 @@ def ladder_closed_form(which: str, lam, mu) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# The moments pi * gamma(base + slope*eps) take few distinct arguments: a
+# lab-mix pass pairs ~12k term pairs over 32 of them.  The cache is bounded
+# because library callers may pass any exponents; a pole error is raised
+# afresh each time, since lru_cache keeps no exceptions.
+MOMENT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=MOMENT_CACHE_SIZE)
+def _moment(twice: int, slopes: int) -> LaurentValue:
+    """pi * gamma(base + slope*eps) with base = 1 + twice/2 and slope = slopes/2.
+
+    ``twice`` is the pair's integral exponent sum lam_f + mu_f + lam_g +
+    mu_g.  A pole moment has a nonzero pole and no exact finite part; a
+    regular one has a zero pole and an exact finite part.
+    """
+    base = Fraction(twice, 2) + 1
+    if slopes:
+        val = gamma_laurent(base, Fraction(slopes, 2))
+    else:
+        try:
+            val = LaurentValue.exact(gamma_exact(base))
+        except PoleError:
+            raise PoleError(
+                "radial moment hits a gamma pole at %s with no eps "
+                "regulator; deform the exponents" % base
+            )
+    return val.times_scalar(GS_PI)
+
+
+def _matched(f: State2D, g: State2D) -> list:
+    """(twice, slopes, cf, cg) of every charge-matched term pair; see _moment.
+
+    g's terms are indexed by charge, so each term of f meets only its own
+    bucket; pairs come in the order of the double loop over f's terms,
+    then g's.  Every gamma argument is domain-checked here, before any
+    moment: it is a half-integer exactly when the exponent sum is an
+    integer.
+    """
+    # charges are keyed by their integer parts: a Fraction hashes slowly
+    buckets: dict[tuple, list] = {}
+    for (lam, ls, mu, ms), cg in g._terms.items():
+        q = mu - lam
+        buckets.setdefault((q.numerator, q.denominator, ms - ls), []).append(
+            (lam + mu, ls + ms, cg)
+        )
+    pairs = []
+    for (lam, ls, mu, ms), cf in f._terms.items():
+        q = mu - lam
+        bucket = buckets.get((q.numerator, q.denominator, ms - ls))
+        if not bucket:
+            continue
+        t = lam + mu
+        for u, s, cg in bucket:
+            twice = t + u
+            if twice.denominator != 1:
+                _check_half_integer(twice / 2 + 1)
+            pairs.append((twice.numerator, ls + ms + s, cf, cg))
+    return pairs
+
+
+def _mod_eps2(cf: EpsScalar, cg: EpsScalar) -> EpsScalar:
+    """cf * cg modulo eps^2.
+
+    Only the eps^0 and eps^1 coefficients of a product reach the Laurent
+    data.  They are summed in the order of EpsScalar's product loop, so
+    their stored terms, and the float sums that follow them, are those of
+    the full product.
+    """
+    out: dict[int, GradedScalar] = {}
+    for i, a in cf._terms.items():
+        for j, b in cg._terms.items():
+            if i + j <= 1:
+                _put(out, i + j, a * b)
+    return cf._like(out)
+
+
 def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     """Charge-matched regularized inner product, as Laurent data in eps.
 
@@ -391,31 +468,16 @@ def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     before any gamma is evaluated, so a non-half-integer argument raises
     DomainError ahead of any pole report; either failure is symmetric
     under swapping f and g.
+
+    The pairs come from the core shared with renorm_inner: g's terms
+    indexed by charge, products taken modulo eps^2, and each moment read
+    from a bounded per-process cache.  Pairs are accumulated one by one in
+    the order of the plain double loop, never grouped by moment: a grouped
+    sum would reorder the exact terms and the float mirror.
     """
-    matched = []
-    for (lam_f, lsf, mu_f, msf), cf in f._terms.items():
-        qf = (-lam_f + mu_f, -lsf + msf)
-        for (lam_g, lsg, mu_g, msg), cg in g._terms.items():
-            if qf != (-lam_g + mu_g, -lsg + msg):
-                continue
-            base = (lam_f + mu_f + lam_g + mu_g) / 2 + 1
-            slope = Fraction(lsf + msf + lsg + msg, 2)
-            matched.append((base, slope, cf * cg))
-    for base, _, _ in matched:
-        _check_half_integer(base)
     total = LaurentValue.zero()
-    for base, slope, coeff in matched:
-        if slope:
-            val = gamma_laurent(base, slope)
-        else:
-            try:
-                val = LaurentValue.exact(gamma_exact(base))
-            except PoleError:
-                raise PoleError(
-                    "radial moment hits a gamma pole at %s with no eps "
-                    "regulator; deform the exponents" % base
-                )
-        total = total + val.times_scalar(GS_PI).times_eps_poly(coeff)
+    for twice, slopes, cf, cg in _matched(f, g):
+        total = total + _moment(twice, slopes).times_eps_poly(_mod_eps2(cf, cg))
     return total.shifted(f.renorm_power + g.renorm_power)
 
 
@@ -425,18 +487,44 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
     This is the eps -> 0 limit of eps^(renorm_f + renorm_g) (f_eps,
     g_eps); only gamma residues contribute for deformed sector pairs.
     NotConvergent if a pole survives the shift.
+
+    It reads the pairs from inner_2d's core but folds only the exact pole
+    and finite sums, with no float mirror, in the same pair order, so the
+    result equals inner_2d's, stored terms included.  A pair's eps^1
+    coefficient is formed only at a pole moment, and under an eps^(1/2)
+    or eps^1 shift, where only the pole total is left, no finite part at
+    all.  Pairs are never grouped by moment: besides reordering the sums,
+    grouping would let two pole pairs whose eps^0 coefficients cancel
+    hide the digamma term that makes the limit unavailable.
     """
-    value = inner_2d(f, g)
-    if value.pole:
+    power = f.renorm_power + g.renorm_power
+    pole = fin = GS_ZERO
+    for twice, slopes, cf, cg in _matched(f, g):
+        m = _moment(twice, slopes)
+        if power and m.finite is not None:
+            continue  # under the shift only residues count
+        a0 = cf._terms.get(0)
+        b0 = cg._terms.get(0)
+        c0 = None if a0 is None or b0 is None else a0 * b0  # None: cf*cg has no eps^0
+        if m.finite is not None:
+            if c0 is not None and fin is not None:
+                fin = fin + m.finite * c0
+        elif c0 is not None:
+            pole = pole + m.pole * c0
+            fin = None  # the residue's digamma term
+        elif fin is not None and not power:
+            fin = fin + m.pole * _mod_eps2(cf, cg).coeff(1)
+    if power:
+        return LaurentValue(pole, GS_ZERO, 0.0).shifted(power).finite
+    if pole:
         raise NotConvergent(
-            "renormalized limit diverges: pole coefficient %s remains"
-            % value.pole.text()
+            "renormalized limit diverges: pole coefficient %s remains" % pole.text()
         )
-    if value.finite is None:
+    if fin is None:
         raise DomainError(
             "constant term involves digamma values excluded from exact mode"
         )
-    return value.finite
+    return fin
 
 
 def eigencheck_2d(op: DiffOp2D, s: State2D):

@@ -24,6 +24,7 @@ document).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -368,7 +369,13 @@ def _cmd_eval(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Building it costs tens of times more than a parse, and parse_args
+    keeps no state on it: each call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="kreinosc",
         description="Exact laboratory for singular oscillator ladders, "
@@ -435,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except LabError as exc:

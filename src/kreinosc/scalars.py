@@ -118,6 +118,9 @@ class _TermMap:
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
     def _like(self, terms: dict):
         """A map of this class over terms that are already canonical.
 

@@ -1062,12 +1062,14 @@ def lattice_from_json(payload) -> SectorLattice:
             raise DomainError("sector document edge endpoint out of range")
         if e.generator not in GENERATOR_ORDER:
             raise DomainError("unknown generator %r in sector document" % e.generator)
-    warnings = tuple(str(w) for w in payload.get("warnings", ()))
+    warnings = payload.get("warnings", [])
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise DomainError("sector document warnings must be a list of strings")
     return SectorLattice(
         seed_text=seed_text,
         generators=generators,
         depth=depth,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        warnings=warnings,
+        warnings=tuple(warnings),
     )

@@ -1,14 +1,16 @@
 """Independent references the unit tests compare against.
 
 Symbolic checks go through sympy (its own differentiation and gamma),
-numeric checks through scipy quadrature.  Nothing here reuses the
+numeric checks through scipy quadrature.  Nothing in those reuses the
 package's own evaluation paths beyond reading term data out of states
-and operators.
+and operators.  The last section keeps the planar pairing's plain
+double loop as a differential reference for the faster one.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import sympy as sp
 from scipy.integrate import quad
@@ -150,3 +152,69 @@ def quad_inner2d(f, g) -> complex:
             cgv = float(cg.eval0()) if hasattr(cg, "eval0") else float(cg)
             total += cfv * cgv * radial * complex(ang_re, ang_im)
     return total
+
+
+# -- the planar pairing's plain double loop ---------------------------------
+
+
+def reference_inner_2d(f, g):
+    """The planar pairing as a double loop over all term pairs.
+
+    Every charge-matched pair multiplies its two eps polynomials in full
+    and adds one LaurentValue, pi * gamma times the product, in the
+    order f's terms, then g's.  Unlike the references above it reuses
+    the package's ring arithmetic and exact gamma: it pins the order of
+    the exact sums, the float bits and the errors of a faster pairing,
+    not the values themselves.
+    """
+    from kreinosc.errors import PoleError
+    from kreinosc.scalars import (
+        GS_PI,
+        LaurentValue,
+        _check_half_integer,
+        gamma_exact,
+        gamma_laurent,
+    )
+
+    matched = []
+    for (lam_f, lsf, mu_f, msf), cf in f._terms.items():
+        qf = (-lam_f + mu_f, -lsf + msf)
+        for (lam_g, lsg, mu_g, msg), cg in g._terms.items():
+            if qf != (-lam_g + mu_g, -lsg + msg):
+                continue
+            base = (lam_f + mu_f + lam_g + mu_g) / 2 + 1
+            slope = Fraction(lsf + msf + lsg + msg, 2)
+            matched.append((base, slope, cf * cg))
+    for base, _, _ in matched:
+        _check_half_integer(base)
+    total = LaurentValue.zero()
+    for base, slope, coeff in matched:
+        if slope:
+            val = gamma_laurent(base, slope)
+        else:
+            try:
+                val = LaurentValue.exact(gamma_exact(base))
+            except PoleError:
+                raise PoleError(
+                    "radial moment hits a gamma pole at %s with no eps "
+                    "regulator; deform the exponents" % base
+                )
+        total = total + val.times_scalar(GS_PI).times_eps_poly(coeff)
+    return total.shifted(f.renorm_power + g.renorm_power)
+
+
+def reference_renorm_inner(f, g):
+    """The renormalized limit read off reference_inner_2d."""
+    from kreinosc.errors import DomainError, NotConvergent
+
+    value = reference_inner_2d(f, g)
+    if value.pole:
+        raise NotConvergent(
+            "renormalized limit diverges: pole coefficient %s remains"
+            % value.pole.text()
+        )
+    if value.finite is None:
+        raise DomainError(
+            "constant term involves digamma values excluded from exact mode"
+        )
+    return value.finite

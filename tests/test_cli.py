@@ -7,6 +7,9 @@ to stderr and return 1; malformed command lines exit 2 via argparse.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -23,7 +26,8 @@ from kreinosc import (
     quotient_report,
     solve_vacuum_1d,
 )
-from kreinosc.cli import main
+import kreinosc
+from kreinosc.cli import build_parser, main
 from kreinosc.jsonio import (
     MAX_EPS_POWER,
     dark_to_json,
@@ -267,6 +271,22 @@ def test_gram_sector_file_rejects_gens(capsys, tmp_path):
              "--format", "json", "--out", path)
     doc = run_error(capsys, "gram", "--sector", path, "--gens", "b_pp")
     assert doc["message"] == "--gens cannot be combined with --sector"
+
+
+@pytest.mark.parametrize("warnings", [None, 0, "ab"])
+def test_gram_sector_file_with_malformed_warnings_is_a_domain_error(capsys, tmp_path, warnings):
+    path = str(tmp_path / "sec.json")
+    run_json(capsys, "export", "--preset", "vacuum", "--depth", "1",
+             "--format", "json", "--out", path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["warnings"] = warnings
+    bad = write_doc(tmp_path, "bad.json", doc)
+    err = run_error(capsys, "gram", "--sector", bad)
+    assert err == {
+        "error": "domain",
+        "message": "sector document warnings must be a list of strings",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +574,53 @@ def test_usage_errors_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err != ""
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+# Each call repeats its predecessor's subcommand without an option the
+# predecessor set, or follows a failure.
+BACK_TO_BACK = [
+    ["inner", "--lhs", "eps:-1", "--rhs", "eps:-1", "--renorm"],
+    ["inner", "--lhs", "eps:-1", "--rhs", "eps:-1"],
+    ["gram", "--preset", "half-zbar", "--depth", "1", "--charge=-1/2"],
+    ["gram", "--preset", "half-zbar", "--depth", "1"],
+    ["gram", "--preset", "vacuum", "--depth", "1", "--charge", "7"],
+    ["gram", "--preset", "vacuum", "--depth", "1"],
+]
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    assert build_parser() is build_parser()
+    results = [run_cli(capsys, *argv) for argv in BACK_TO_BACK]
+    assert [rc for rc, _, _ in results] == [0, 0, 0, 0, 1, 0]
+    renorm, plain = (json.loads(out) for _, out, _ in results[:2])
+    assert renorm["renormalized"] is True
+    assert plain["renormalized"] is False and "value_exact" not in plain
+    block, blocks = (json.loads(out) for _, out, _ in results[2:4])
+    assert block["charge_text"] == "-1/2"
+    assert "blocks" in blocks and "charge_text" not in blocks
+    assert json.loads(results[4][2])["error"] == "domain"
+    assert json.loads(results[5][1]) == quotient_to_json(quotient_report(preset_sector("vacuum", 1)))
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit):
+        main(["gram", "--charge", "7"])
+    capsys.readouterr()
+    doc = run_json(capsys, "gram", "--preset", "vacuum", "--depth", "1")
+    assert doc == quotient_to_json(quotient_report(preset_sector("vacuum", 1)))
+
+
+def test_in_process_calls_print_what_fresh_processes_print(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreinosc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in BACK_TO_BACK:
+        rc, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kreinosc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (rc, out, err)

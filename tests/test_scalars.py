@@ -1,5 +1,6 @@
 """Exact scalar field, regulator polynomials, Laurent data, gamma."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,9 +21,13 @@ from kreinosc import (
     PoleError,
     State1D,
     State2D,
+    dark_check,
     gamma_exact,
     gamma_laurent,
     gamma_numeric,
+    gram,
+    preset_sector,
+    quotient_report,
     scalar_sign,
 )
 from kreinosc.scalars import _PI_HI, _PI_LO
@@ -548,3 +553,30 @@ def test_pi_enclosures_are_certified_and_tight():
             assert mpmath.pi < mpmath.mpf(hi.numerator) / hi.denominator
             assert (hi - lo) * 2**bits < 1
     assert (_PI_LO, _PI_HI) == _pi_interval(SIGN_BITS[-1])
+
+
+@functools.cache
+def _reports():
+    lattice = preset_sector("vacuum", 1)
+    return (gram(lattice, 0), quotient_report(lattice), dark_check(lattice, lattice, 1))
+
+
+_attr_names = st.one_of(
+    st.sampled_from(["_terms", "label", "renorm_power", "entries", "blocks", "is_dark"]),
+    st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, graded_small, eps_polys, st.integers(min_value=0, max_value=1),
+       _attr_names, st.integers())
+def test_values_and_reports_refuse_attribute_writes(q, g, e, slope, name, value):
+    # the six term-map classes, and the frozen report dataclasses
+    targets = _value_forms(q, g, e, slope)[1:] + list(_reports())
+    for obj in targets:
+        before = repr(obj)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert repr(obj) == before

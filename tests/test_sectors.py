@@ -341,6 +341,27 @@ def test_lattice_from_json_rejects_malformed_documents():
         lattice_from_json(["not", "a", "mapping"])
 
 
+@pytest.mark.parametrize("warnings", [None, 0, "ab", {"a": 1}, ["ok", 3], [None]])
+def test_lattice_warnings_must_be_a_list_of_strings(warnings):
+    import json as jsonlib
+
+    doc = jsonlib.loads(lattice_export(preset_sector("vacuum", 1), "json"))
+    doc["warnings"] = warnings
+    with pytest.raises(DomainError) as err:
+        lattice_from_json(doc)
+    assert str(err.value) == "sector document warnings must be a list of strings"
+
+
+def test_lattice_warnings_may_be_absent():
+    import json as jsonlib
+
+    doc = jsonlib.loads(lattice_export(preset_sector("vacuum", 1), "json"))
+    doc["warnings"] = ["node 0 is not an energy eigenstate"]
+    assert lattice_from_json(doc).warnings == ("node 0 is not an energy eigenstate",)
+    del doc["warnings"]
+    assert lattice_from_json(doc).warnings == ()
+
+
 # ---------------------------------------------------------------------------
 # identity audit
 
