@@ -34,6 +34,7 @@ from .scalars import (
     _as_fraction,
     _check_half_integer,
     _coerce_scalar,
+    _HALF,
     _paren,
     _put,
     _TermMap,
@@ -125,12 +126,6 @@ class State1D(_TermMap):
     def terms(self) -> tuple:
         return tuple(sorted(self._terms.items()))
 
-    def exponents(self) -> tuple:
-        return tuple(sorted(self._terms))
-
-    def coefficient(self, e) -> GradedScalar:
-        return self._terms.get(_as_fraction(e), GS_ZERO)
-
     def with_label(self, label) -> "State1D":
         return self._like(self._terms, label)
 
@@ -192,8 +187,6 @@ class DiffOp1D(_TermMap):
 # ---------------------------------------------------------------------------
 # named operators
 # ---------------------------------------------------------------------------
-
-_HALF = Fraction(1, 2)
 
 
 def build_op_1d(name: str, alpha=None) -> DiffOp1D:
@@ -400,11 +393,6 @@ class Divergence:
 
     kind: str  # "none" | "log" | "power"
     order: Fraction | None = None
-
-    def __str__(self):
-        if self.kind == "power":
-            return "power(%s)" % self.order
-        return self.kind
 
 
 DIV_NONE = Divergence("none")

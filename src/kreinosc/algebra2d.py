@@ -50,14 +50,13 @@ from .scalars import (
     _as_fraction,
     _check_half_integer,
     _coerce_scalar,
+    _HALF,
     _paren,
     _put,
     _TermMap,
     gamma_exact,
     gamma_laurent,
 )
-
-_HALF = Fraction(1, 2)
 
 
 def _check_slope(s) -> int:
@@ -149,7 +148,7 @@ class State2D(_TermMap):
         return any(k[1] or k[3] for k in self._terms)
 
     def charges(self) -> set:
-        return {Monomial2D(*k).charge() for k in self._terms}
+        return {(mu - lam, ms - ls) for lam, ls, mu, ms in self._terms}
 
     def limit_eps0(self) -> "State2D":
         """Termwise eps -> 0 limit: slopes dropped, coefficients at eps = 0."""
@@ -206,11 +205,6 @@ class DiffOp2D(_TermMap):
     def terms(self) -> tuple:
         return tuple(
             sorted(self._terms.items(), key=lambda t: (t[0][2], t[0][3], t[0][0], t[0][1]))
-        )
-
-    def coefficient(self, pb, p, rb, r) -> GradedScalar:
-        return self._terms.get(
-            (_as_fraction(pb), _as_fraction(p), int(rb), int(r)), GS_ZERO
         )
 
     def __mul__(self, other):

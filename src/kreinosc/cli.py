@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .algebra1d import (
     State1D,
+    apply_1d,
     build_op_1d,
     eigencheck_1d,
     inner_1d,
@@ -56,7 +57,9 @@ from .jsonio import (
 )
 from .opexpr import build_from_text, expr_text, parse_expr
 from .radial import angular_decompose, bridge_audit, radial_reduce
+from .scalars import _HALF, _rational_text
 from .sectors import (
+    EXPORT_FORMATS,
     GENERATOR_ORDER,
     PRESET_NAMES,
     classify_limit,
@@ -70,12 +73,10 @@ from .sectors import (
     quotient_report,
 )
 
-_HALF = Fraction(1, 2)
-
 
 def _frac_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _rational_text(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
@@ -104,19 +105,19 @@ def load_state_spec(spec: str):
         if len(parts) != 2:
             raise DomainError("omega: takes two comma-separated rationals")
         try:
-            lam, mu = Fraction(parts[0]), Fraction(parts[1])
+            lam, mu = _rational_text(parts[0]), _rational_text(parts[1])
         except (ValueError, ZeroDivisionError):
             raise DomainError("malformed exponent in %r" % spec)
         return omega(lam, mu)
     if spec.startswith("eps:"):
         try:
-            lam = Fraction(spec[len("eps:") :])
+            lam = _rational_text(spec[len("eps:") :])
         except (ValueError, ZeroDivisionError):
             raise DomainError("malformed exponent in %r" % spec)
         return omega(lam, 0, lam_slope=1).with_renorm(_HALF)
     if spec.startswith("eps-conj:"):
         try:
-            mu = Fraction(spec[len("eps-conj:") :])
+            mu = _rational_text(spec[len("eps-conj:") :])
         except (ValueError, ZeroDivisionError):
             raise DomainError("malformed exponent in %r" % spec)
         return omega(0, mu, mu_slope=1).with_renorm(_HALF)
@@ -353,8 +354,6 @@ def _cmd_eval(args) -> None:
         if space == "1d":
             if not isinstance(state, State1D):
                 raise DomainError("expression is a line operator; --state needs a line state")
-            from .algebra1d import apply_1d
-
             image = apply_1d(op, state)
             out["image"] = state1d_to_json(image)
         else:
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export", help="serialize a sector lattice")
     _add_lattice_args(p, with_file=True)
-    p.add_argument("--format", choices=("dot", "json", "csv"), default="json")
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="json")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_export)
 
@@ -442,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads "--opt=--" as an empty list
+            parser.error("argument --%s: expected one argument" % name.replace("_", "-"))
     try:
         args.func(args)
     except LabError as exc:

@@ -7,18 +7,21 @@ ever approximated by a float, except the explicitly numeric fields.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from .algebra1d import State1D
+from .algebra2d import Monomial2D, State2D
 from .errors import DomainError
 from .scalars import (
     EXACT_UNAVAILABLE,
     EpsScalar,
     GradedScalar,
     LaurentValue,
+    _frac_text,
     _put,
+    _rational_text,
 )
-
-_HALF = Fraction(1, 2)
 
 # Highest eps power a loaded document may carry (DomainError above).  The
 # lab writes degrees up to a sector's depth, at most 16; an eps
@@ -26,16 +29,21 @@ _HALF = Fraction(1, 2)
 # would stall sorting and export.
 MAX_EPS_POWER = 1024
 
+# Largest |j| and |k| of a loaded term q * 2^(j/2) * pi^(k/2) (DomainError
+# above).  The lab writes j in {0, 1} and folds 2^(j//2) into q, a j/2-bit
+# factor; a term's float mirror overflows from |k| ~ 1240 on.
+MAX_GRADE = 1024
+
 
 def frac_text(f: Fraction) -> str:
-    return str(f)
+    return _frac_text(f)
 
 
 def frac_from_text(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise DomainError("expected a rational string, got %r" % (s,))
     try:
-        return Fraction(s)
+        return _rational_text(s)
     except (ValueError, ZeroDivisionError):
         raise DomainError("malformed rational %r" % (s,))
 
@@ -59,9 +67,12 @@ def graded_from_json(data) -> GradedScalar:
     for item in data:
         if not isinstance(item, dict) or set(item) != {"j", "k", "q"}:
             raise DomainError("graded scalar term must have keys j, k, q")
-        if not isinstance(item["j"], int) or not isinstance(item["k"], int):
+        j, k = item["j"], item["k"]
+        if type(j) is not int or type(k) is not int:
             raise DomainError("graded scalar grades j, k must be integers")
-        out = out + GradedScalar.monomial(frac_from_text(item["q"]), item["j"], item["k"])
+        if abs(j) > MAX_GRADE or abs(k) > MAX_GRADE:
+            raise DomainError("graded scalar grade (%d, %d) exceeds the bound %d" % (j, k, MAX_GRADE))
+        out = out + GradedScalar.monomial(frac_from_text(item["q"]), j, k)
     return out
 
 
@@ -88,6 +99,8 @@ def eps_from_json(data) -> EpsScalar:
 
 
 def laurent_to_json(v: LaurentValue) -> dict:
+    if not math.isfinite(v.finite_num):
+        raise DomainError("finite_numeric, the float mirror, is out of the float range")
     return {
         "pole": graded_to_json(v.pole),
         "finite": EXACT_UNAVAILABLE if v.finite is None else graded_to_json(v.finite),
@@ -113,8 +126,6 @@ def state1d_to_json(s) -> dict:
 
 
 def state1d_from_json(data):
-    from .algebra1d import State1D
-
     if not isinstance(data, dict) or data.get("space") != "1d":
         raise DomainError('line state JSON must carry "space": "1d"')
     terms = data.get("terms")
@@ -164,8 +175,6 @@ def state2d_to_json(s) -> dict:
 
 
 def state2d_from_json(data):
-    from .algebra2d import Monomial2D, State2D
-
     if not isinstance(data, dict) or data.get("space") != "2d":
         raise DomainError('planar state JSON must carry "space": "2d"')
     renorm = frac_from_text(data.get("renorm", "0"))

@@ -454,9 +454,7 @@ def eval_expr(node):
             return ident.scaled(n.value)
         if isinstance(n, NameLeaf):
             if space == "1d":
-                if n.name in ALPHA_NAMES:
-                    return build_op_1d(NAMES_1D[n.name], n.alpha)
-                return build_op_1d(NAMES_1D[n.name])
+                return build_op_1d(NAMES_1D[n.name], n.alpha)
             return build_op_2d(NAMES_2D[n.name])
         if isinstance(n, Sum):
             acc = ident.scaled(0)

@@ -21,9 +21,7 @@ from fractions import Fraction
 from .algebra1d import DiffOp1D, State1D, _ratio, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import State2D, apply_2d, build_op_2d, compose_2d, omega
 from .errors import ChargeAbsent, DomainError
-from .scalars import EpsScalar, GradedScalar, _as_fraction
-
-_HALF = Fraction(1, 2)
+from .scalars import EpsScalar, GradedScalar, _as_fraction, _HALF
 
 
 @dataclass(frozen=True)

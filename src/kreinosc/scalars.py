@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, IndeterminateSign, PoleError
+from .errors import DomainError, IndeterminateSign, NotConvergent, PoleError
 
 # Euler-Mascheroni constant, used only for the numeric mirror of
 # gamma's constant Laurent coefficient at a pole.
@@ -43,6 +43,21 @@ _EULER_GAMMA = 0.5772156649015328606065120900824024
 # gets a certified sign, and a smaller one raises IndeterminateSign.
 SIGN_BITS = (192, 512, 1536)
 
+_HALF = Fraction(1, 2)
+
+# Largest |argument| of exact gamma (DomainError above).  The exact value
+# at a half-integer takes a product of |arg| growing fractions, so the
+# work grows about quadratically: ~40 ms at the bound, 27 s at 10^5.
+MAX_GAMMA_ARG = 4096
+
+
+def _rational_text(s) -> Fraction:
+    """Fraction(s), but exponent notation is a ValueError: Fraction builds the
+    power of ten in full, so "1e9999999" alone takes ~10 s."""
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError("exponent notation in %r" % s)
+    return Fraction(s)
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -50,7 +65,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _rational_text(x)
     raise DomainError("expected a rational, got %r" % (x,))
 
 
@@ -62,6 +77,14 @@ def _put(out: dict, key, c) -> None:
         out[key] = acc
     else:
         out.pop(key, None)
+
+
+def _frac_text(q: Fraction) -> str:
+    """str(q), or DomainError where Python refuses to print so many digits."""
+    try:
+        return str(q)
+    except ValueError:
+        raise DomainError("an exact value has too many digits to print") from None
 
 
 def _paren(text: str, minus: str = " - ") -> str:
@@ -364,9 +387,17 @@ class GradedScalar(_TermMap):
     # -- evaluation and formatting ------------------------------------------
 
     def __float__(self):
+        """The nearest float; +-inf (or nan) where the value leaves the float range."""
         total = 0.0
         for (j, k), q in self._terms.items():
-            total += float(q) * (2.0 ** (j / 2.0)) * (math.pi ** (k / 2.0))
+            try:
+                total += float(q) * (2.0 ** (j / 2.0)) * (math.pi ** (k / 2.0))
+            except OverflowError:
+                # q or pi^(k/2) alone is out of range: sum the logarithms
+                log = math.log(abs(q.numerator)) - math.log(q.denominator)
+                log += (j * math.log(2.0) + k * math.log(math.pi)) / 2
+                mag = math.exp(log) if log < 709.78 else math.inf
+                total += mag if q > 0 else -mag
         return total
 
     def sort_key(self):
@@ -374,7 +405,7 @@ class GradedScalar(_TermMap):
 
     def _term_text(self, grade, q) -> str:
         j, k = grade
-        factors = [str(q)]
+        factors = [_frac_text(q)]
         if j == 1:
             factors.append("2^(1/2)")
         if k:
@@ -730,14 +761,12 @@ class LaurentValue:
         orders -1 and 0: its eps -> 0 limit is zero unless the pole
         survives, in which case the limit does not exist.
         """
-        from .errors import NotConvergent
-
         power = _as_fraction(power)
         if power == 0:
             return self
         if power == 1:
             return LaurentValue(_GS_ZERO, self.pole, float(self.pole))
-        if power == Fraction(1, 2):
+        if power == _HALF:
             if self.pole:
                 raise NotConvergent(
                     "eps^(1/2) shift leaves a divergent eps^(-1/2) term"
@@ -767,6 +796,9 @@ def _check_half_integer(arg: Fraction) -> Fraction:
             "gamma argument %s is not a half-integer; exact mode covers "
             "half-integers only (use gamma_numeric for floats)" % arg
         )
+    # a pole (a non-positive integer) is reported at no cost, at any size
+    if abs(arg) > MAX_GAMMA_ARG and (arg > 0 or arg.denominator == 2):
+        raise DomainError("gamma argument %s exceeds the exact bound %d" % (arg, MAX_GAMMA_ARG))
     return arg
 
 
@@ -784,15 +816,15 @@ def gamma_exact(arg) -> GradedScalar:
             raise PoleError("gamma has a pole at %s" % arg)
         return GradedScalar.rational(math.factorial(n - 1))
     # arg = m + 1/2 for integer m
-    m = (arg - Fraction(1, 2)).numerator
+    m = (arg - _HALF).numerator
     coeff = Fraction(1)
     if m >= 0:
-        s = Fraction(1, 2)
+        s = _HALF
         for _ in range(m):
             coeff *= s
             s += 1
     else:
-        s = Fraction(1, 2)
+        s = _HALF
         for _ in range(-m):
             s -= 1
             coeff /= s
@@ -825,6 +857,8 @@ def gamma_laurent(base, slope) -> LaurentValue:
         raise DomainError("gamma_laurent requires a nonzero eps slope")
     if base.denominator == 1 and base.numerator <= 0:
         m = -base.numerator
+        if m > MAX_GAMMA_ARG:  # the residue and the digamma sum take m steps
+            raise DomainError("gamma argument %s exceeds the exact bound %d" % (base, MAX_GAMMA_ARG))
         residue = Fraction((-1) ** m, math.factorial(m))
         pole = GradedScalar.rational(residue / slope)
         harmonic = sum(1.0 / i for i in range(1, m + 1))

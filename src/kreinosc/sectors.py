@@ -41,11 +41,13 @@ from .algebra2d import (
     states_proportional,
 )
 from .errors import DepthExceeded, DomainError, NotConvergent, PoleError, UnsupportedFormat
+from .jsonio import eps_from_json, eps_to_json, state2d_from_json, state2d_to_json
 from .scalars import (
     GS_ZERO,
     EpsScalar,
     GradedScalar,
     _as_fraction,
+    _HALF,
     scalar_sign,
 )
 
@@ -67,8 +69,6 @@ MAX_SECTOR_NODES = 1000
 # and 5, predict 2774 and 6490; a unit costs 0.15-0.4 ms, so an accepted
 # scan ends within about 5 s.
 MAX_DARK_WORK = 12_000
-
-_HALF = Fraction(1, 2)
 
 
 def _gen_ops() -> dict:
@@ -143,19 +143,8 @@ class SectorLattice:
     edges: tuple
     warnings: tuple = ()
 
-    def seed(self) -> State2D:
-        return self.nodes[0].state
-
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def charges(self) -> tuple:
-        """Distinct non-null node charges, sorted."""
-        seen = {}
-        for n in self.nodes:
-            if n.charge is not None:
-                seen[n.charge.sort_key()] = n.charge
-        return tuple(seen[k] for k in sorted(seen))
 
 
 def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -> SectorLattice:
@@ -340,15 +329,6 @@ def _congruence_diagonalize(mat):
         m[i], m[j] = m[j], m[i]
         ecols[i], ecols[j] = ecols[j], ecols[i]
 
-    def col_add(i, j):
-        # col_i <- col_i + col_j
-        for r in range(n):
-            m[r][i] = m[r][i] + m[r][j]
-        for c in range(n):
-            m[i][c] = m[i][c] + m[j][c]
-        for r in range(n):
-            ecols[i][r] = ecols[i][r] + ecols[j][r]
-
     for i in range(n):
         if not m[i][i]:
             swap = next((j for j in range(i + 1, n) if m[j][j]), None)
@@ -358,7 +338,7 @@ def _congruence_diagonalize(mat):
                 off = next((j for j in range(i + 1, n) if m[i][j]), None)
                 if off is None:
                     continue  # fully split off: null direction
-                col_add(i, off)
+                col_op(i, 1, -1, off)  # col_i <- col_i + col_off
         p = m[i][i]
         for j in range(i + 1, n):
             a = m[i][j]
@@ -368,23 +348,14 @@ def _congruence_diagonalize(mat):
     return diag, ecols
 
 
-def _gram_for_nodes(lattice: SectorLattice, indices) -> tuple:
-    """(entries, renormalized) for the given node indices."""
+def _block_result(lattice, charge, indices) -> GramResult:
     states = [lattice.nodes[i].state for i in indices]
-    renormalized = any(s.renorm_power or s.has_slopes() for s in states)
     n = len(states)
     entries = [[GS_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = renorm_inner(states[i], states[j])
-            entries[i][j] = v
-            entries[j][i] = v
-    return tuple(tuple(row) for row in entries), renormalized
-
-
-def _block_result(lattice, charge, indices) -> GramResult:
-    entries, renormalized = _gram_for_nodes(lattice, indices)
-    diag, ecols = _congruence_diagonalize([list(r) for r in entries])
+            entries[i][j] = entries[j][i] = renorm_inner(states[i], states[j])
+    diag, ecols = _congruence_diagonalize(entries)
     n_plus = n_minus = n_zero = 0
     kernel = []
     for i, d in enumerate(diag):
@@ -399,10 +370,10 @@ def _block_result(lattice, charge, indices) -> GramResult:
     return GramResult(
         charge=charge,
         node_indices=tuple(indices),
-        entries=entries,
+        entries=tuple(map(tuple, entries)),
         signature=(n_plus, n_minus, n_zero),
         kernel=tuple(kernel),
-        renormalized=renormalized,
+        renormalized=any(s.renorm_power or s.has_slopes() for s in states),
     )
 
 
@@ -952,8 +923,6 @@ def lattice_export(lattice: SectorLattice, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        from .jsonio import eps_to_json, state2d_to_json
-
         payload = {
             "seed": lattice.seed_text,
             "generators": list(lattice.generators),
@@ -1012,19 +981,25 @@ def lattice_export(lattice: SectorLattice, fmt: str) -> str:
     )
 
 
+def _field(item, key: str, kind: type):
+    """item[key], which must be of exactly this JSON type (so a bool is no int)."""
+    v = item[key]
+    if type(v) is not kind:
+        raise DomainError("sector document field %r must be %s, got %r" % (key, kind.__name__, v))
+    return v
+
+
 def lattice_from_json(payload) -> SectorLattice:
     """Rebuild a lattice from its json export."""
-    from .jsonio import eps_from_json, state2d_from_json
-
     if not isinstance(payload, dict):
         raise DomainError("sector document must be a JSON object")
     try:
-        seed_text = str(payload["seed"])
-        generators = tuple(payload["generators"])
-        depth = int(payload["depth"])
+        seed_text = _field(payload, "seed", str)
+        generators = tuple(_field(payload, "generators", list))
+        depth = _field(payload, "depth", int)
         nodes_raw = payload["nodes"]
         edges_raw = payload["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError("malformed sector document: %s" % exc)
     for g in generators:
         if g not in GENERATOR_ORDER:
@@ -1032,25 +1007,25 @@ def lattice_from_json(payload) -> SectorLattice:
     try:
         nodes = [
             Node(
-                index=int(item["index"]),
+                index=_field(item, "index", int),
                 state=state2d_from_json(item["state"]),
                 energy=None if item["energy"] is None else eps_from_json(item["energy"]),
                 charge=None if item["charge"] is None else eps_from_json(item["charge"]),
-                depth=int(item["depth"]),
+                depth=_field(item, "depth", int),
             )
             for item in nodes_raw
         ]
         edges = [
             Edge(
-                src=int(item["src"]),
-                dst=int(item["dst"]),
-                generator=str(item["generator"]),
+                src=_field(item, "src", int),
+                dst=_field(item, "dst", int),
+                generator=_field(item, "generator", str),
                 num=eps_from_json(item["num"]),
                 den=eps_from_json(item["den"]),
             )
             for item in edges_raw
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError("malformed sector document: %s" % exc)
     if not nodes:
         raise DomainError("sector document has no nodes")
