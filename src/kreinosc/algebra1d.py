@@ -88,8 +88,8 @@ def _eigenvalue(apply, op, s):
 
 
 def _falling(p: Fraction, j: int) -> Fraction:
-    """The falling factorial (p)_j = p (p-1) ... (p-j+1)."""
-    out = Fraction(1)
+    """The falling factorial (p)_j = p (p-1) ... (p-j+1); the int 1 when j = 0."""
+    out = 1
     for i in range(j):
         out *= p - i
     return out
@@ -298,7 +298,7 @@ def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
                 w = _falling(p2, j) * math.comb(q1, j)
                 if not w:
                     continue
-                _put(out, (p1 + p2 - j, q1 - j + q2), c12 * w)
+                _put(out, (p1 + p2 - j, q1 - j + q2), c12 if w == 1 else c12 * w)
     return f._like(out)
 
 
@@ -321,27 +321,39 @@ def solve_vacuum_1d(alpha) -> State1D:
     return vac
 
 
-def ladder_state_1d(alpha, n: int) -> tuple[State1D, Fraction]:
-    """n-th raising-ladder state over the alpha vacuum with its energy.
+def ladder_states_1d(alpha, count: int) -> list:
+    """(state, energy) of the raising-ladder rungs n = 0 .. count-1.
 
-    Only alpha in {-2, 1} closes the ladder on H1; the energy is
-    1/2 - alpha + 2n.  n is capped by the configured depth limit.
+    Each rung is raised from the one before.  Only alpha in {-2, 1}
+    closes the ladder on H1; the energy is 1/2 - alpha + 2n.  alpha, then
+    the depth limit, are checked before any rung is built (the error
+    names index limit + 1); count <= 0 gives [] for any alpha.
     """
+    if count <= 0:
+        return []
     alpha = _as_fraction(alpha)
     if alpha not in (Fraction(-2), Fraction(1)):
         raise DomainError("ladder family requires alpha -2 or 1, got %s" % alpha)
+    limit = depth_limit()
+    if count - 1 > limit:
+        raise DepthExceeded("ladder index %d exceeds depth limit %d" % (limit + 1, limit))
+    raise_op = build_op_1d("A_plus")
+    state = solve_vacuum_1d(alpha)
+    rungs = []
+    for n in range(count):
+        if n:
+            state = apply_1d(raise_op, state)
+        energy = Fraction(1, 2) - alpha + 2 * n
+        rungs.append((state.with_label("ladder(alpha=%s,n=%d)" % (alpha, n)), energy))
+    return rungs
+
+
+def ladder_state_1d(alpha, n: int) -> tuple[State1D, Fraction]:
+    """The n-th rung of ladder_states_1d; n is capped by the depth limit."""
     n = int(n)
     if n < 0:
         raise DomainError("ladder index must be non-negative")
-    limit = depth_limit()
-    if n > limit:
-        raise DepthExceeded("ladder index %d exceeds depth limit %d" % (n, limit))
-    raise_op = build_op_1d("A_plus")
-    state = solve_vacuum_1d(alpha)
-    for _ in range(n):
-        state = apply_1d(raise_op, state)
-    energy = Fraction(1, 2) - alpha + 2 * n
-    return state.with_label("ladder(alpha=%s,n=%d)" % (alpha, n)), energy
+    return ladder_states_1d(alpha, n + 1)[-1]
 
 
 def eigencheck_1d(op: DiffOp1D, s: State1D):

@@ -226,6 +226,7 @@ class DiffOp2D(_TermMap):
         return "*".join(bits)
 
 
+@functools.cache
 def build_op_2d(name: str) -> DiffOp2D:
     """Named generators of the planar algebra.
 
@@ -335,7 +336,8 @@ def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
                     if not wz:
                         continue
                     key = (pb1 + pb2 - jb, p1 + p2 - jz, rb1 - jb + rb2, r1 - jz + r2)
-                    _put(out, key, c12 * (wb * wz))
+                    w = wb * wz
+                    _put(out, key, c12 if w == 1 else c12 * w)
     return f._like(out)
 
 

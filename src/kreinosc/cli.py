@@ -35,7 +35,7 @@ from .algebra1d import (
     build_op_1d,
     eigencheck_1d,
     inner_1d,
-    ladder_state_1d,
+    ladder_states_1d,
     localization_1d,
     solve_vacuum_1d,
 )
@@ -55,7 +55,7 @@ from .jsonio import (
     state2d_to_json,
     state_from_json,
 )
-from .opexpr import build_from_text, expr_text, parse_expr
+from .opexpr import eval_expr, expr_text, parse_expr
 from .radial import angular_decompose, bridge_audit, radial_reduce
 from .scalars import _HALF, _rational_text
 from .sectors import (
@@ -189,10 +189,8 @@ def _load_sector_source(spec: str, depth: int):
         if not isinstance(state, State2D):
             raise DomainError("dark scan operands must be planar")
         return generate_sector(state, (), 0, seed_text=spec)
-    state = load_state_spec(spec)
-    if not isinstance(state, State2D):
-        raise DomainError("dark scan operands must be planar")
-    return generate_sector(state, _default_generators(spec), depth, seed_text=spec)
+    # every other spec names a planar state
+    return generate_sector(load_state_spec(spec), _default_generators(spec), depth, seed_text=spec)
 
 
 def _divergence_json(localized: bool, div) -> dict:
@@ -217,12 +215,10 @@ def _cmd_audit(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    levels = []
-    for n in range(args.n):
-        state, energy = ladder_state_1d(args.alpha, n)
-        levels.append(
-            {"n": n, "energy": frac_text(energy), "state": state1d_to_json(state)}
-        )
+    levels = [
+        {"n": n, "energy": frac_text(energy), "state": state1d_to_json(state)}
+        for n, (state, energy) in enumerate(ladder_states_1d(args.alpha, args.n))
+    ]
     _emit({"alpha": frac_text(args.alpha), "levels": levels})
 
 
@@ -342,7 +338,7 @@ def _cmd_export(args) -> None:
 
 def _cmd_eval(args) -> None:
     ast = parse_expr(args.expr)
-    space, op = build_from_text(args.expr)
+    space, op = eval_expr(ast)
     out = {
         "space": space,
         "expr": expr_text(ast),

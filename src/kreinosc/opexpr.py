@@ -429,7 +429,9 @@ def infer_space(node) -> str:
 
 def _degree(op) -> Fraction:
     """Largest sum of absolute powers and derivative orders over op's terms."""
-    return max((sum(abs(x) for x in key) for key in op._terms), default=Fraction(0))
+    # integral powers (in practice, all of them) skip Fraction arithmetic
+    terms = (sum(abs(x.numerator) if x.denominator == 1 else abs(x) for x in k) for k in op._terms)
+    return max(terms, default=Fraction(0))
 
 
 def _check_degree(degree, what: str) -> None:
@@ -457,8 +459,9 @@ def eval_expr(node):
                 return build_op_1d(NAMES_1D[n.name], n.alpha)
             return build_op_2d(NAMES_2D[n.name])
         if isinstance(n, Sum):
-            acc = ident.scaled(0)
-            for sign, t in n.terms:
+            (sign, first), *rest = n.terms
+            acc = ev(first) if sign > 0 else -ev(first)
+            for sign, t in rest:
                 v = ev(t)
                 acc = acc + v if sign > 0 else acc - v
             return acc

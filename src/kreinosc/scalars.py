@@ -835,12 +835,16 @@ def gamma_numeric(arg) -> float:
     """Floating gamma for any rational argument off the poles.
 
     Documented numeric fallback for arguments outside the half-integer
-    exact domain.
+    exact domain.  DomainError where the argument or its gamma leaves
+    float range (gamma(171) is finite, gamma(172) overflows).
     """
     arg = _as_fraction(arg)
     if arg.denominator == 1 and arg.numerator <= 0:
         raise PoleError("gamma has a pole at %s" % arg)
-    return math.gamma(float(arg))
+    try:
+        return math.gamma(float(arg))
+    except (OverflowError, ValueError):
+        raise DomainError("gamma(%s) is out of float range" % _frac_text(arg)) from None
 
 
 def gamma_laurent(base, slope) -> LaurentValue:

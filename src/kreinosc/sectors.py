@@ -25,9 +25,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from types import MappingProxyType
 
-from .algebra1d import DiffOp1D, apply_1d, build_op_1d, compose_1d, solve_vacuum_1d
+from .algebra1d import apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import (
-    DiffOp2D,
     State2D,
     apply_2d,
     build_op_2d,
@@ -42,6 +41,7 @@ from .algebra2d import (
 )
 from .errors import DepthExceeded, DomainError, NotConvergent, PoleError, UnsupportedFormat
 from .jsonio import eps_from_json, eps_to_json, state2d_from_json, state2d_to_json
+from .opexpr import build_from_text
 from .scalars import (
     GS_ZERO,
     EpsScalar,
@@ -702,6 +702,37 @@ _PROBE_GRID = (
 )
 
 
+# The operator relations the audit checks, in verdict order: (id, the
+# (lhs, rhs) pairs in the expression language, the corrected form of a
+# relation that fails).  Each pair is checked by building lhs - (rhs).
+_RELATIONS = (
+    ("plus-ladder-commutator", (("[b-+, b++]", "1"),)),
+    ("minus-ladder-commutator", (("[b--, b+-]", "1"),)),
+    (
+        "cross-ladder-commutators",
+        (("[b-+, b+-]", "0"), ("[b--, b++]", "0"), ("[b++, b+-]", "0"), ("[b-+, b--]", "0")),
+    ),
+    (
+        "hamiltonian-ladder-action",
+        (("[H, b++]", "b++"), ("[H, b+-]", "b+-"), ("[H, b-+]", "-b-+"), ("[H, b--]", "-b--")),
+    ),
+    (
+        "charge-ladder-action",
+        (("[Q, b++]", "b++"), ("[Q, b+-]", "-b+-"), ("[Q, b-+]", "-b-+"), ("[Q, b--]", "b--")),
+    ),
+    ("charge-hamiltonian-commute", (("[Q, H]", "0"),)),
+    (
+        "hamiltonian-bilinear-form",
+        (("H", "1/2 (b++ b-+ + b+- b--) + 1"),),
+        "b++ b-+ + b+- b-- + 1",
+    ),
+    ("charge-bilinear-form", (("Q", "1/2 (b++ b-+ - b+- b--)"),), "b++ b-+ - b+- b--"),
+    # the line algebra factorizations at the two distinguished couplings
+    ("line-factorization-alpha-plus", (("a+@1 a-@1", "H1 + 1/2"),)),
+    ("line-factorization-alpha-minus", (("a+@-2 a-@-2", "H1 - 5/2"),)),
+)
+
+
 def identity_audit() -> tuple:
     """Re-derive the structural relations and report a verdict for each.
 
@@ -711,10 +742,6 @@ def identity_audit() -> tuple:
     """
     verdicts: list[IdentityVerdict] = []
     ops = _gen_ops()
-    b_pp, b_pm, b_mp, b_mm = (ops[g] for g in GENERATOR_ORDER)
-    op_h = build_op_2d("H")
-    op_q = build_op_2d("Q")
-    one = DiffOp2D.identity()
 
     def verdict(id_, lhs_text, rhs_text, bad, corrected=None):
         # bad: the texts of the nonzero residuals; the relation holds when empty
@@ -732,86 +759,26 @@ def identity_audit() -> tuple:
     def nonzero(*residuals):
         return [r.text() for r in residuals if not r.is_zero()]
 
-    verdict(
-        "plus-ladder-commutator",
-        "[b-+, b++]",
-        "1",
-        nonzero(commutator_2d(b_mp, b_pp) - one),
-    )
-    verdict(
-        "minus-ladder-commutator",
-        "[b--, b+-]",
-        "1",
-        nonzero(commutator_2d(b_mm, b_pm) - one),
-    )
+    def relation(id_, pairs, corrected=None):
+        lhs, rhs = zip(*pairs)
+        verdict(
+            id_,
+            ", ".join(lhs),
+            rhs[0] if len(set(rhs)) == 1 else ", ".join(rhs),
+            nonzero(*(build_from_text("%s - (%s)" % pair)[1] for pair in pairs)),
+            corrected,
+        )
 
-    verdict(
-        "cross-ladder-commutators",
-        "[b-+, b+-], [b--, b++], [b++, b+-], [b-+, b--]",
-        "0",
-        nonzero(
-            commutator_2d(b_mp, b_pm),
-            commutator_2d(b_mm, b_pp),
-            commutator_2d(b_pp, b_pm),
-            commutator_2d(b_mp, b_mm),
-        ),
-    )
-
-    verdict(
-        "hamiltonian-ladder-action",
-        "[H, b++], [H, b+-], [H, b-+], [H, b--]",
-        "b++, b+-, -b-+, -b--",
-        nonzero(
-            commutator_2d(op_h, b_pp) - b_pp,
-            commutator_2d(op_h, b_pm) - b_pm,
-            commutator_2d(op_h, b_mp) + b_mp,
-            commutator_2d(op_h, b_mm) + b_mm,
-        ),
-    )
-
-    verdict(
-        "charge-ladder-action",
-        "[Q, b++], [Q, b+-], [Q, b-+], [Q, b--]",
-        "b++, -b+-, -b-+, b--",
-        nonzero(
-            commutator_2d(op_q, b_pp) - b_pp,
-            commutator_2d(op_q, b_pm) + b_pm,
-            commutator_2d(op_q, b_mp) + b_mp,
-            commutator_2d(op_q, b_mm) - b_mm,
-        ),
-    )
-
-    verdict(
-        "charge-hamiltonian-commute",
-        "[Q, H]",
-        "0",
-        nonzero(commutator_2d(op_q, op_h)),
-    )
-
-    bil_sum = b_pp * b_mp + b_pm * b_mm
-    verdict(
-        "hamiltonian-bilinear-form",
-        "H",
-        "1/2 (b++ b-+ + b+- b--) + 1",
-        nonzero(op_h - (bil_sum.scaled(_HALF) + one)),
-        corrected="b++ b-+ + b+- b-- + 1",
-    )
-    bil_diff = b_pp * b_mp - b_pm * b_mm
-    verdict(
-        "charge-bilinear-form",
-        "Q",
-        "1/2 (b++ b-+ - b+- b--)",
-        nonzero(op_q - bil_diff.scaled(_HALF)),
-        corrected="b++ b-+ - b+- b--",
-    )
+    for rel in _RELATIONS[:8]:  # the planar ones
+        relation(*rel)
 
     vac = psi0()
-    for gen_name, op, tag in (("b-+", b_mp, "plus"), ("b--", b_mm, "minus")):
+    for gen_name, g, tag in (("b-+", "b_mp", "plus"), ("b--", "b_mm", "minus")):
         verdict(
             "vacuum-annihilation-%s" % tag,
             "%s Psi0" % gen_name,
             "0",
-            nonzero(apply_2d(op, vac)),
+            nonzero(apply_2d(ops[g], vac)),
         )
 
     # closed-form actions on a probe grid of exponent pairs
@@ -822,6 +789,9 @@ def identity_audit() -> tuple:
             if not diff.is_zero():
                 bad.append("at (%s,%s): %s" % (lam, mu, diff.text()))
         return bad
+
+    op_h = build_op_2d("H")
+    op_q = build_op_2d("Q")
 
     def h_closed(lam, mu):
         want = omega(lam, mu).scaled(lam + mu + 1)
@@ -861,28 +831,15 @@ def identity_audit() -> tuple:
         bad,
     )
 
-    # line algebra factorizations at the two distinguished couplings
-    h1 = build_op_1d("H1")
-    for alpha, tag in ((Fraction(1), "plus"), (Fraction(-2), "minus")):
-        ap = build_op_1d("a_plus", alpha)
-        am = build_op_1d("a_minus", alpha)
-        shift_const = alpha - _HALF
-        shift = DiffOp1D({(Fraction(0), 0): shift_const})
-        if shift_const < 0:
-            rhs_text = "H1 - %s" % (-shift_const)
-        else:
-            rhs_text = "H1 + %s" % shift_const
-        verdict(
-            "line-factorization-alpha-%s" % tag,
-            "a+@%s a-@%s" % (alpha, alpha),
-            rhs_text,
-            nonzero(compose_1d(ap, am) - (h1 + shift)),
-        )
+    # each line factorization, then the vacuum of its coupling
+    line_couplings = ((Fraction(1), "plus"), (Fraction(-2), "minus"))
+    for rel, (alpha, tag) in zip(_RELATIONS[8:], line_couplings):
+        relation(*rel)
         verdict(
             "line-vacuum-annihilation-alpha-%s" % tag,
             "a-@%s vacuum(alpha=%s)" % (alpha, alpha),
             "0",
-            nonzero(apply_1d(am, solve_vacuum_1d(alpha))),
+            nonzero(apply_1d(build_op_1d("a_minus", alpha), solve_vacuum_1d(alpha))),
         )
 
     return tuple(verdicts)

@@ -23,7 +23,7 @@ from kreinosc import (
     localization_1d,
     solve_vacuum_1d,
 )
-from kreinosc.algebra1d import DEFAULT_DEPTH_LIMIT, DEPTH_LIMIT_ENV, depth_limit
+from kreinosc.algebra1d import DEFAULT_DEPTH_LIMIT, DEPTH_LIMIT_ENV, depth_limit, ladder_states_1d
 
 from _oracles import (
     gs_to_sympy,
@@ -190,6 +190,21 @@ def test_ladder_state_texts():
     assert ladder_state_1d(1, 1)[0].text() == "1*x^(-1) + 2*x^(1)"
     assert ladder_state_1d(1, 2)[0].text() == "-1*x^(-1) - 4*x^(1) + 4*x^(3)"
     assert ladder_state_1d(-2, 2)[0].text() == "35*x^(2) - 28*x^(4) + 4*x^(6)"
+
+
+def test_ladder_states_share_one_raise_with_ladder_state(monkeypatch):
+    rungs = ladder_states_1d(1, 5)
+    assert [energy for _, energy in rungs] == [Fraction(-1, 2) + 2 * n for n in range(5)]
+    for n, (state, energy) in enumerate(rungs):
+        assert (state, energy) == ladder_state_1d(1, n)
+        assert state.label == "ladder(alpha=1,n=%d)" % n
+    assert ladder_states_1d(3, 0) == ladder_states_1d(3, -2) == []
+    monkeypatch.setenv(DEPTH_LIMIT_ENV, "3")
+    assert len(ladder_states_1d(-2, 4)) == 4
+    with pytest.raises(DepthExceeded, match="ladder index 4 exceeds depth limit 3"):
+        ladder_states_1d(-2, 100)
+    with pytest.raises(DomainError):
+        ladder_states_1d(2, 100)
 
 
 def test_ladder_rejects_other_alpha():

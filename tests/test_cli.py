@@ -99,6 +99,38 @@ def test_spectrum_default_rung_count(capsys):
     assert doc["levels"][0]["energy"] == "5/2"
 
 
+def test_spectrum_past_the_depth_limit_fails_before_any_rung(capsys, monkeypatch):
+    applied = []
+    monkeypatch.setattr(kreinosc.algebra1d, "apply_1d", lambda op, s: applied.append(op))
+    start = time.perf_counter()
+    doc = run_error(capsys, "spectrum", "--alpha", "1", "--n", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert doc == {
+        "error": "depth-exceeded",
+        "message": "ladder index 65 exceeds depth limit 64",
+    }
+    assert applied == []
+    # alpha is checked first; no rungs asked for is no error for any alpha
+    assert run_error(capsys, "spectrum", "--alpha", "3", "--n", "1000")["error"] == "domain"
+    for n in ("0", "-3"):
+        assert run_json(capsys, "spectrum", "--alpha", "3", "--n", n)["levels"] == []
+
+
+def test_spectrum_raises_each_rung_from_the_one_before(capsys, monkeypatch):
+    a_plus = kreinosc.build_op_1d("A_plus")
+    real_apply = kreinosc.algebra1d.apply_1d
+    raises = []
+
+    def counting_apply(op, s):
+        raises.append(op == a_plus)
+        return real_apply(op, s)
+
+    monkeypatch.setattr(kreinosc.algebra1d, "apply_1d", counting_apply)
+    doc = run_json(capsys, "spectrum", "--alpha=-2", "--n", "6")
+    assert len(doc["levels"]) == 6
+    assert raises.count(True) == 5
+
+
 def test_vacuum_distinguished_coupling(capsys):
     doc = run_json(capsys, "vacuum", "--alpha", "1")
     assert doc["energy"] == "-1/2"
@@ -512,6 +544,19 @@ def test_eval_normalizes_expression_text(capsys):
     doc = run_json(capsys, "eval", "--expr", "  H1   -  1/2 ")
     assert doc["expr"] == "H1 - 1/2"
     assert doc["space"] == "1d"
+
+
+def test_eval_parses_its_expression_once(capsys, monkeypatch):
+    real_tokenize = kreinosc.opexpr._tokenize
+    sources = []
+
+    def counting_tokenize(src):
+        sources.append(src)
+        return real_tokenize(src)
+
+    monkeypatch.setattr(kreinosc.opexpr, "_tokenize", counting_tokenize)
+    run_json(capsys, "eval", "--expr", "[H, b++]")
+    assert sources == ["[H, b++]"]
 
 
 def test_eval_applies_to_line_state(capsys, tmp_path):

@@ -258,6 +258,13 @@ def test_eps_division_failure():
     assert e.try_div(EpsScalar.affine(1, 1)) is None
 
 
+def test_eps_division_fails_where_a_coefficient_does_not_divide():
+    # the leading coefficients pi and 1 + sqrt(pi) have no exact quotient
+    num = EpsScalar.of(GradedScalar.pi())
+    den = EpsScalar.of(GradedScalar.one() + GradedScalar.sqrt_pi())
+    assert num.try_div(den) is None
+
+
 def test_shared_long_division_edges():
     e = EpsScalar.affine(0, 1)
     # a polynomial quotient may not shift below eps^0 ...
@@ -400,6 +407,13 @@ def test_gamma_domain_errors():
         gamma_numeric(Fraction(-4))
     assert gamma_numeric(Fraction(1, 3)) == pytest.approx(math.gamma(1 / 3))
     assert gamma_numeric(Fraction(5, 2)) == pytest.approx(math.gamma(2.5))
+
+
+def test_gamma_numeric_out_of_float_range_is_a_domain_error():
+    assert gamma_numeric(171) == math.gamma(171.0)
+    for arg in (172, 200, Fraction(10**400), Fraction(1, 10**400)):
+        with pytest.raises(DomainError, match="out of float range"):
+            gamma_numeric(arg)
 
 
 @pytest.mark.parametrize("m", range(5))

@@ -21,6 +21,7 @@ from kreinosc.sectors import (
     MAX_DARK_DEGREE,
     MAX_DEPTH,
     PRESET_NAMES,
+    _RELATIONS,
     Node,
     SectorLattice,
     classify_limit,
@@ -184,6 +185,15 @@ def test_gram_charge_addressing_errors():
         gram(manual, 2)
 
 
+def test_gram_skips_and_quotient_report_refuses_a_charge_less_node():
+    # psi0 + z is no charge eigenstate; b-+ lowers it onto psi0, which is one
+    lat = generate_sector(psi0() + omega(0, 1), ("b_mp",), 1)
+    assert [n.charge is None for n in lat.nodes] == [True, False]
+    assert gram(lat, 0).node_indices == (1,)
+    with pytest.raises(DomainError, match="node 0 has no charge eigenvalue"):
+        quotient_report(lat)
+
+
 # ---------------------------------------------------------------------------
 # deformed sectors
 
@@ -215,6 +225,12 @@ def test_eps_sector_depth_one():
 def test_classify_limit_on_raw_states():
     assert classify_limit(omega(0, 0, lam_slope=1)) == "ordinary"
     assert classify_limit(omega(-1, 0, lam_slope=1)) == "singular"
+
+
+def test_classify_limit_calls_a_vanishing_limit_ordinary():
+    s = omega(0, 0, lam_slope=1).scaled(EpsScalar.affine(0, 1))  # coefficient e
+    assert s.limit_eps0().is_zero()
+    assert classify_limit(s) == "ordinary"
 
 
 def test_eps_quotient_depth_two():
@@ -276,6 +292,17 @@ def test_integer_and_half_integer_charges_never_talk():
     assert report.is_dark
     assert report.pairs_checked == 0
     assert report.entries == ()
+
+
+def test_dark_entry_of_a_divergent_pairing():
+    b = generate_sector(omega(-1, 0, lam_slope=1), (), 0)
+    report = dark_check(eps_sector(-1, 1), b, 0)
+    assert not report.is_dark
+    assert report.pairs_checked == 1
+    assert [(e.monomial, e.node_a, e.node_b, e.note) for e in report.entries] == [
+        ("1", 0, 0, "divergent")
+    ]
+    assert report.entries[0].value is None
 
 
 def test_dark_degree_bounds():
@@ -387,6 +414,19 @@ def test_audit_inventory_and_failures():
     q = by_id["charge-bilinear-form"]
     assert q.residual == "1/4*z^(1)*dz - 1/4*zbar^(1)*dzbar"
     assert q.corrected_form == "b++ b-+ - b+- b--"
+
+
+def test_audit_checks_the_operator_relations_it_prints():
+    verdicts = {v.identity_id: v for v in identity_audit()}
+    assert len(_RELATIONS) == 10
+    for id_, pairs, *corrected in _RELATIONS:
+        v = verdicts[id_]
+        lhs, rhs = zip(*pairs)
+        assert v.lhs == ", ".join(lhs)
+        assert v.rhs == (rhs[0] if len(set(rhs)) == 1 else ", ".join(rhs))
+        residuals = [build_from_text("%s - (%s)" % pair)[1] for pair in pairs]
+        assert v.holds == all(r.is_zero() for r in residuals)
+        assert v.corrected_form == (None if v.holds else corrected[0])
 
 
 def test_corrected_forms_parse_back_to_the_generators():
