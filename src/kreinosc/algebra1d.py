@@ -44,6 +44,15 @@ from .scalars import (
 DEFAULT_DEPTH_LIMIT = 64
 DEPTH_LIMIT_ENV = "KREIN_OSC_DEPTH_LIMIT"
 
+# Work budget of one normal-ordered product: the reordering terms it
+# forms, the sum over f's terms of (derivative order + 1) -- in the plane
+# (dzbar order + 1) * (dz order + 1) -- times g's term count.  Outside the
+# dense powers that probe this budget, the test suite's products form at
+# most 429 terms and the lab-mix benchmark's 225; a commutator of two dense
+# planar operators of degree 6, which the expression language's degree cap
+# admits, would form 79 300.
+MAX_COMPOSE_WORK = 10_000
+
 
 def depth_limit() -> int:
     """Ladder depth cap; the environment variable overrides the default."""
@@ -284,12 +293,22 @@ def apply_1d(op: DiffOp1D, s: State1D) -> State1D:
     return s._like(total)
 
 
+def _check_compose_work(work: int) -> None:
+    if work > MAX_COMPOSE_WORK:
+        raise DepthExceeded(
+            "operator product would form %d reordering terms, above the budget of %d"
+            % (work, MAX_COMPOSE_WORK)
+        )
+
+
 def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
     """Normal-ordered product f g.
 
     Uses D^q x^p = sum_j C(q, j) (p)_j x^(p-j) D^(q-j) with the falling
-    factorial (p)_j, valid for rational p.
+    factorial (p)_j, valid for rational p.  DepthExceeded, before any
+    term is formed, for a product above MAX_COMPOSE_WORK.
     """
+    _check_compose_work(sum(q + 1 for _p, q in f._terms) * len(g._terms))
     out: dict[tuple[Fraction, int], GradedScalar] = {}
     for (p1, q1), c1 in f._terms.items():
         for (p2, q2), c2 in g._terms.items():

@@ -35,6 +35,7 @@ from .algebra1d import (
     DIV_LOG,
     DIV_NONE,
     Divergence,
+    _check_compose_work,
     _eigenvalue,
     _falling,
     _ratio,
@@ -321,8 +322,10 @@ def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
 
     The factor-two Wirtinger convention turns the reordering rule into
     d^s x^p = sum_j C(s, j) 2^j (p)_j x^(p-j) d^(s-j), independently in
-    the holomorphic and antiholomorphic variables.
+    the holomorphic and antiholomorphic variables.  DepthExceeded, before
+    any term is formed, for a product above MAX_COMPOSE_WORK.
     """
+    _check_compose_work(sum((rb + 1) * (r + 1) for _pb, _p, rb, r in f._terms) * len(g._terms))
     out: dict[tuple, GradedScalar] = {}
     for (pb1, p1, rb1, r1), c1 in f._terms.items():
         for (pb2, p2, rb2, r2), c2 in g._terms.items():
@@ -350,6 +353,27 @@ def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
 # ---------------------------------------------------------------------------
 
 
+# Each ladder generator lowers one exponent, multiplying by -/+ its value,
+# and b_pp and b_pm also raise the other one with coefficient 1:
+#   b_pp: -(lam) at lam-1, + mu+1      b_mm: +(lam) at lam-1
+#   b_pm: -(mu)  at mu-1,  + lam+1     b_mp: +(mu)  at mu-1
+# as (lowers mu rather than lam, sign of the lowering term, also raises).
+# The identity audit checks this table against apply_2d on a probe grid.
+_LADDER = {
+    "b_pp": (False, -1, True),
+    "b_pm": (True, -1, True),
+    "b_mp": (True, 1, False),
+    "b_mm": (False, 1, False),
+}
+
+
+def _ladder_row(which: str) -> tuple:
+    try:
+        return _LADDER[which]
+    except KeyError:
+        raise DomainError("unknown ladder operator %r" % which) from None
+
+
 def ladder_closed_form(which: str, lam, mu) -> tuple:
     """Action of one b operator on a bare monomial, as (coeff, lam', mu') triples.
 
@@ -357,15 +381,43 @@ def ladder_closed_form(which: str, lam, mu) -> tuple:
     """
     lam = _as_fraction(lam)
     mu = _as_fraction(mu)
-    if which == "b_pp":
-        return ((-lam, lam - 1, mu), (Fraction(1), lam, mu + 1))
-    if which == "b_mp":
-        return ((mu, lam, mu - 1),)
-    if which == "b_pm":
-        return ((-mu, lam, mu - 1), (Fraction(1), lam + 1, mu))
-    if which == "b_mm":
-        return ((lam, lam - 1, mu),)
-    raise DomainError("unknown ladder operator %r" % which)
+    lowers_mu, sign, raises = _ladder_row(which)
+    if lowers_mu:
+        out = ((sign * mu, lam, mu - 1),)
+        return out + ((Fraction(1), lam + 1, mu),) if raises else out
+    out = ((sign * lam, lam - 1, mu),)
+    return out + ((Fraction(1), lam, mu + 1),) if raises else out
+
+
+def ladder_image(which: str, s: State2D) -> State2D:
+    """b s for the ladder generator ``which``, by the action in _LADDER.
+
+    One multiply per output term, where apply_2d runs a derivative pass
+    and adds the multiplication term separately; a vanishing lowering term
+    is skipped.  The renorm marker is kept.
+
+    The result equals apply_2d(build_op_2d(which), s), but its terms may be
+    stored in another order (the derivative and weight branches are fused
+    per term).  Stored order never reaches output: printed states go
+    through the sorted terms(), and the float sums that are printed (sort
+    keys of node energies and charges) come from single-term coefficients.
+    """
+    lowers_mu, sign, raises = _ladder_row(which)
+    out: dict[tuple, EpsScalar] = {}
+    for (lam, ls, mu, ms), v in s._terms.items():
+        if lowers_mu:
+            mult = EpsScalar.affine(sign * mu, sign * ms) if ms else sign * mu
+            if mult:
+                _put(out, (lam, ls, mu - 1, ms), v * mult)
+            if raises:
+                _put(out, (lam + 1, ls, mu, ms), v)
+        else:
+            mult = EpsScalar.affine(sign * lam, sign * ls) if ls else sign * lam
+            if mult:
+                _put(out, (lam - 1, ls, mu, ms), v * mult)
+            if raises:
+                _put(out, (lam, ls, mu + 1, ms), v)
+    return s._like(out)
 
 
 # ---------------------------------------------------------------------------

@@ -836,15 +836,19 @@ def gamma_numeric(arg) -> float:
 
     Documented numeric fallback for arguments outside the half-integer
     exact domain.  DomainError where the argument or its gamma leaves
-    float range (gamma(171) is finite, gamma(172) overflows).
+    float range: gamma(171) is finite, gamma(172) overflows, and below
+    about -171.5 a value underflows to a signed zero (gamma has no zeros).
     """
     arg = _as_fraction(arg)
     if arg.denominator == 1 and arg.numerator <= 0:
         raise PoleError("gamma has a pole at %s" % arg)
     try:
-        return math.gamma(float(arg))
+        value = math.gamma(float(arg))
     except (OverflowError, ValueError):
-        raise DomainError("gamma(%s) is out of float range" % _frac_text(arg)) from None
+        value = 0.0
+    if not value:
+        raise DomainError("gamma(%s) is out of float range" % _frac_text(arg))
+    return value
 
 
 def gamma_laurent(base, slope) -> LaurentValue:

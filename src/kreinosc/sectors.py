@@ -34,6 +34,7 @@ from .algebra2d import (
     eigencheck_2d,
     inner_2d,
     ladder_closed_form,
+    ladder_image,
     omega,
     psi0,
     renorm_inner,
@@ -57,8 +58,8 @@ _GEN_RANK = {g: i for i, g in enumerate(GENERATOR_ORDER)}
 MAX_DEPTH = 16
 MAX_DARK_DEGREE = 6
 
-# Node budget of one sector closure.  Closure and eigenvalues cost a few
-# ms per node, and an omega seed under all four generators grows fast
+# Node budget of one sector closure.  Closure and eigenvalues cost 1-4 ms
+# per node, and an omega seed under all four generators grows fast
 # (omega:1/2,3: 652 nodes at depth 6, 2803 at depth 8).  The presets stay
 # below it at every depth up to MAX_DEPTH (289 nodes at most).
 MAX_SECTOR_NODES = 1000
@@ -66,8 +67,8 @@ MAX_SECTOR_NODES = 1000
 # Work budget of one dark scan: the word images plus the pair evaluations
 # that charge reachability predicts before any image is built (see
 # dark_check).  The largest scans in use, vacuum@3 x vacuum@3 at degree 4
-# and 5, predict 2774 and 6490; a unit costs 0.15-0.4 ms, so an accepted
-# scan ends within about 5 s.
+# and 5, predict 2774 and 6490; a unit costs 0.03-0.2 ms, so an accepted
+# scan ends within about 3 s.
 MAX_DARK_WORK = 12_000
 
 
@@ -150,7 +151,8 @@ class SectorLattice:
 def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -> SectorLattice:
     """Breadth-first closure of the seed ray under the named generators.
 
-    Images proportional to a known node become edges onto it; zero
+    Images come from the closed-form ladder action (ladder_image).  An
+    image proportional to a known node becomes an edge onto it; zero
     images are dropped.  A newly discovered node is stored monic in its
     highest monomial whenever that rescaling is exactly invertible (a
     deformed leading coefficient like -1+e is not, and then the raw
@@ -177,7 +179,6 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     if seed.is_zero():
         raise DomainError("seed state is zero")
 
-    ops = _gen_ops()
     states: list[State2D] = [seed]
     depths: list[int] = [0]
     parents: list[tuple] = [(None, None)]  # (discovering node, generator)
@@ -190,7 +191,7 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
         new_frontier = []
         for i in frontier:
             for g in gens:
-                img = apply_2d(ops[g], states[i])
+                img = ladder_image(g, states[i])
                 if img.is_zero():
                     continue
                 bucket = by_keys.setdefault(frozenset(img._terms), [])
@@ -570,7 +571,6 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     max_degree = int(max_degree)
     if max_degree < 0 or max_degree > MAX_DARK_DEGREE:
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
-    ops = _gen_ops()
     states_a = [n.state for n in a.nodes]
     states_b = [n.state for n in b.nodes]
     charges_a = [frozenset(s.charges()) for s in states_a]
@@ -617,7 +617,7 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
             k -= 1
         img = built[word[:k], j]
         for m in range(k, len(word)):
-            img = built[word[: m + 1], j] = apply_2d(ops[word[m]], img)
+            img = built[word[: m + 1], j] = ladder_image(word[m], img)
         return img
 
     found = {}  # normal form -> (pairs checked, [(node a, node b, value, note)])

@@ -669,3 +669,15 @@ def test_in_process_calls_print_what_fresh_processes_print(capsys):
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == (rc, out, err)
+
+
+def test_the_package_runs_as_a_module(capsys):
+    argv = ["inner", "--lhs", "psi0", "--rhs", "psi0"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreinosc.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "kreinosc", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and json.loads(out)
+    assert (fresh.returncode, fresh.stdout) == (rc, out)

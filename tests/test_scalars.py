@@ -416,6 +416,17 @@ def test_gamma_numeric_out_of_float_range_is_a_domain_error():
             gamma_numeric(arg)
 
 
+def test_gamma_numeric_underflow_is_a_domain_error():
+    # gamma(-200.5) is about -1e-375: below float range, not zero
+    with pytest.raises(DomainError, match="out of float range") as exc:
+        gamma_numeric(Fraction(-401, 2))
+    assert exc.value.code == "domain"
+    # gamma(-170.5) is about -3.3e-308, still a float
+    value = gamma_numeric(Fraction(-341, 2))
+    assert value < 0
+    assert value == pytest.approx(-3.3127395215386e-308, rel=1e-9)
+
+
 @pytest.mark.parametrize("m", range(5))
 @pytest.mark.parametrize("slope", [Fraction(1), Fraction(-1), Fraction(1, 2)])
 def test_gamma_laurent_poles_match_series_oracle(m, slope):
