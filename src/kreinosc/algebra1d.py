@@ -21,6 +21,7 @@ Everything is immutable and all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -45,12 +46,12 @@ DEFAULT_DEPTH_LIMIT = 64
 DEPTH_LIMIT_ENV = "KREIN_OSC_DEPTH_LIMIT"
 
 # Work budget of one normal-ordered product: the reordering terms it
-# forms, the sum over f's terms of (derivative order + 1) -- in the plane
-# (dzbar order + 1) * (dz order + 1) -- times g's term count.  Outside the
-# dense powers that probe this budget, the test suite's products form at
-# most 429 terms and the lab-mix benchmark's 225; a commutator of two dense
-# planar operators of degree 6, which the expression language's degree cap
-# admits, would form 79 300.
+# forms, the sum over f's terms of the product over the variables of
+# (derivative order + 1), times g's term count.  Outside the dense powers
+# that probe this budget, the test suite's products form at most 429 terms
+# and the lab-mix benchmark's 225; a commutator of two dense planar
+# operators of degree 6, which the expression language's degree cap admits,
+# would form 79 300.
 MAX_COMPOSE_WORK = 10_000
 
 
@@ -153,27 +154,51 @@ class State1D(_TermMap):
 # ---------------------------------------------------------------------------
 
 
-class DiffOp1D(_TermMap):
+class _DiffOp(_TermMap):
+    """Normal-ordered operator core: key (powers..., orders...) -> GradedScalar.
+
+    A subclass names one (coordinate, derivative) pair per variable in
+    ``_vars``.  A key holds the rational coordinate powers, then the
+    non-negative derivative orders, both in that variable order; terms()
+    reads by derivative orders, then powers.
+    """
+
+    __slots__ = ()
+    _vars: tuple = ()
+    _coeff = staticmethod(_coerce_scalar)
+
+    @classmethod
+    def _key(cls, key) -> tuple:
+        n = len(cls._vars)
+        powers, orders = tuple(map(_as_fraction, key[:n])), tuple(map(int, key[n:]))
+        if len(powers) + len(orders) != 2 * n:
+            raise DomainError("%s keys have %d entries" % (cls.__name__, 2 * n))
+        if min(orders) < 0:
+            raise DomainError("derivative order must be non-negative")
+        return powers + orders
+
+    @classmethod
+    def identity(cls):
+        n = len(cls._vars)
+        return cls({(Fraction(0),) * n + (0,) * n: GS_ONE})
+
+    def terms(self) -> tuple:
+        n = len(self._vars)
+        return tuple(sorted(self._terms.items(), key=lambda t: t[0][n:] + t[0][:n]))
+
+    def _term_text(self, key, c) -> str:
+        n = len(self._vars)
+        bits = [_paren(c.text())]
+        bits += ["%s^(%s)" % (x, p) for (x, _d), p in zip(self._vars, key) if p]
+        bits += [d if r == 1 else "%s^%d" % (d, r) for (_x, d), r in zip(self._vars, key[n:]) if r]
+        return "*".join(bits)
+
+
+class DiffOp1D(_DiffOp):
     """Normal-ordered operator: map (power, dorder) -> GradedScalar."""
 
     __slots__ = ()
-    _coeff = staticmethod(_coerce_scalar)
-
-    @staticmethod
-    def _key(key) -> tuple:
-        p, q = key
-        p = _as_fraction(p)
-        q = int(q)
-        if q < 0:
-            raise DomainError("derivative order must be non-negative")
-        return (p, q)
-
-    @classmethod
-    def identity(cls) -> "DiffOp1D":
-        return cls({(Fraction(0), 0): GS_ONE})
-
-    def terms(self) -> tuple:
-        return tuple(sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0])))
+    _vars = (("x", "D"),)
 
     def coefficient(self, p, q) -> GradedScalar:
         return self._terms.get((_as_fraction(p), int(q)), GS_ZERO)
@@ -182,15 +207,6 @@ class DiffOp1D(_TermMap):
         if isinstance(other, DiffOp1D):
             return compose_1d(self, other)
         return NotImplemented
-
-    def _term_text(self, key, c) -> str:
-        p, q = key
-        bits = [_paren(c.text())]
-        if p:
-            bits.append("x^(%s)" % p)
-        if q:
-            bits.append("D" if q == 1 else "D^%d" % q)
-        return "*".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +317,43 @@ def _check_compose_work(work: int) -> None:
         )
 
 
-def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
-    """Normal-ordered product f g.
+def _compose(f: _DiffOp, g: _DiffOp, scale: int) -> _DiffOp:
+    """Normal-ordered product f g of two operators of one class.
 
-    Uses D^q x^p = sum_j C(q, j) (p)_j x^(p-j) D^(q-j) with the falling
-    factorial (p)_j, valid for rational p.  DepthExceeded, before any
-    term is formed, for a product above MAX_COMPOSE_WORK.
+    Reorders each variable by d^s x^p = sum_j C(s, j) scale^j (p)_j
+    x^(p-j) d^(s-j), with the falling factorial (p)_j, valid for rational
+    p.  DepthExceeded, before any term is formed, for a product above
+    MAX_COMPOSE_WORK.
     """
-    _check_compose_work(sum(q + 1 for _p, q in f._terms) * len(g._terms))
-    out: dict[tuple[Fraction, int], GradedScalar] = {}
-    for (p1, q1), c1 in f._terms.items():
-        for (p2, q2), c2 in g._terms.items():
+    n = len(f._vars)
+    _check_compose_work(sum(math.prod(s + 1 for s in k[n:]) for k in f._terms) * len(g._terms))
+    out: dict[tuple, GradedScalar] = {}
+    for k1, c1 in f._terms.items():
+        for k2, c2 in g._terms.items():
             c12 = c1 * c2
-            for j in range(q1 + 1):
-                w = _falling(p2, j) * math.comb(q1, j)
-                if not w:
-                    continue
-                _put(out, (p1 + p2 - j, q1 - j + q2), c12 if w == 1 else c12 * w)
+            # each variable's nonzero (power, order, weight) moves
+            moves = [
+                [
+                    (p1 + p2 - j, s1 - j + s2, w)
+                    for j in range(s1 + 1)
+                    if (w := _falling(p2, j) * math.comb(s1, j) * scale**j)
+                ]
+                for p1, p2, s1, s2 in zip(k1, k2, k1[n:], k2[n:])
+            ]
+            for combo in itertools.product(*moves):
+                powers, orders, weights = zip(*combo)
+                w = math.prod(weights)
+                _put(out, powers + orders, c12 if w == 1 else c12 * w)
     return f._like(out)
+
+
+def compose_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:
+    """Normal-ordered product f g by the reordering rule of _compose.
+
+    With D = d/dx the rule reads D^q x^p = sum_j C(q, j) (p)_j x^(p-j)
+    D^(q-j).
+    """
+    return _compose(f, g, 1)
 
 
 def commutator_1d(f: DiffOp1D, g: DiffOp1D) -> DiffOp1D:

@@ -27,7 +27,6 @@ Everything is immutable and all functions are pure.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +34,9 @@ from .algebra1d import (
     DIV_LOG,
     DIV_NONE,
     Divergence,
-    _check_compose_work,
+    _compose,
+    _DiffOp,
     _eigenvalue,
-    _falling,
     _ratio,
 )
 from .errors import DomainError, NotConvergent, PoleError
@@ -87,10 +86,6 @@ class Monomial2D:
     lam_slope: int
     mu: Fraction
     mu_slope: int
-
-    def charge(self) -> tuple[Fraction, int]:
-        """Angular charge as (constant, eps-slope): q = -L + M."""
-        return (-self.lam + self.mu, -self.lam_slope + self.mu_slope)
 
     def key(self):
         return (self.lam, self.lam_slope, self.mu, self.mu_slope)
@@ -177,21 +172,11 @@ def psi0() -> State2D:
 # ---------------------------------------------------------------------------
 
 
-class DiffOp2D(_TermMap):
+class DiffOp2D(_DiffOp):
     """Normal-ordered operator: map (zbar_pow, z_pow, dzbar, dz) -> GradedScalar."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _key(key) -> tuple:
-        pb, p, rb, r = key
-        pb = _as_fraction(pb)
-        p = _as_fraction(p)
-        rb = int(rb)
-        r = int(r)
-        if rb < 0 or r < 0:
-            raise DomainError("derivative order must be non-negative")
-        return (pb, p, rb, r)
+    _vars = (("zbar", "dzbar"), ("z", "dz"))
 
     @staticmethod
     def _coeff(c) -> GradedScalar:
@@ -199,32 +184,10 @@ class DiffOp2D(_TermMap):
             raise DomainError("operator coefficients carry no eps dependence")
         return _coerce_scalar(c)
 
-    @classmethod
-    def identity(cls) -> "DiffOp2D":
-        return cls({(Fraction(0), Fraction(0), 0, 0): GS_ONE})
-
-    def terms(self) -> tuple:
-        return tuple(
-            sorted(self._terms.items(), key=lambda t: (t[0][2], t[0][3], t[0][0], t[0][1]))
-        )
-
     def __mul__(self, other):
         if isinstance(other, DiffOp2D):
             return compose_2d(self, other)
         return NotImplemented
-
-    def _term_text(self, key, c) -> str:
-        pb, p, rb, r = key
-        bits = [_paren(c.text())]
-        if pb:
-            bits.append("zbar^(%s)" % pb)
-        if p:
-            bits.append("z^(%s)" % p)
-        if rb:
-            bits.append("dzbar" if rb == 1 else "dzbar^%d" % rb)
-        if r:
-            bits.append("dz" if r == 1 else "dz^%d" % r)
-        return "*".join(bits)
 
 
 @functools.cache
@@ -318,30 +281,13 @@ def apply_2d(op: DiffOp2D, s: State2D) -> State2D:
 
 
 def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
-    """Normal-ordered product f g.
+    """Normal-ordered product f g by the reordering rule of _compose.
 
-    The factor-two Wirtinger convention turns the reordering rule into
+    The factor-two Wirtinger convention gives the rule scale 2:
     d^s x^p = sum_j C(s, j) 2^j (p)_j x^(p-j) d^(s-j), independently in
-    the holomorphic and antiholomorphic variables.  DepthExceeded, before
-    any term is formed, for a product above MAX_COMPOSE_WORK.
+    the holomorphic and antiholomorphic variables.
     """
-    _check_compose_work(sum((rb + 1) * (r + 1) for _pb, _p, rb, r in f._terms) * len(g._terms))
-    out: dict[tuple, GradedScalar] = {}
-    for (pb1, p1, rb1, r1), c1 in f._terms.items():
-        for (pb2, p2, rb2, r2), c2 in g._terms.items():
-            c12 = c1 * c2
-            for jb in range(rb1 + 1):
-                wb = _falling(pb2, jb) * math.comb(rb1, jb) * (2**jb)
-                if not wb:
-                    continue
-                for jz in range(r1 + 1):
-                    wz = _falling(p2, jz) * math.comb(r1, jz) * (2**jz)
-                    if not wz:
-                        continue
-                    key = (pb1 + pb2 - jb, p1 + p2 - jz, rb1 - jb + rb2, r1 - jz + r2)
-                    w = wb * wz
-                    _put(out, key, c12 if w == 1 else c12 * w)
-    return f._like(out)
+    return _compose(f, g, 2)
 
 
 def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:

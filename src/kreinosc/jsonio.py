@@ -54,10 +54,7 @@ def frac_from_text(s) -> Fraction:
 
 
 def graded_to_json(v: GradedScalar) -> list:
-    return [
-        {"j": j, "k": k, "q": frac_text(q)}
-        for (j, k), q in sorted(v.terms(), key=lambda t: (t[0][1], t[0][0]))
-    ]
+    return [{"j": j, "k": k, "q": frac_text(q)} for (j, k), q in v.terms()]
 
 
 def graded_from_json(data) -> GradedScalar:

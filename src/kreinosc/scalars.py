@@ -197,7 +197,8 @@ class _TermMap:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._lift(other)
+        return NotImplemented if other is None else (-self) + other
 
     def __neg__(self):
         return self._like({key: -c for key, c in self._terms.items()})

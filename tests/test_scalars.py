@@ -605,3 +605,17 @@ def test_values_and_reports_refuse_attribute_writes(q, g, e, slope, name, value)
         with pytest.raises(AttributeError):
             delattr(obj, name)
         assert repr(obj) == before
+
+
+def test_subtraction_from_a_number_lifts_it_or_names_the_minus():
+    x = GradedScalar.monomial(Fraction(3, 2), 1, 1)
+    assert 1 - x == GradedScalar.one() - x
+    assert Fraction(1, 2) - x == GradedScalar.rational(Fraction(1, 2)) - x
+    e = EpsScalar.affine(2, 3)
+    assert 1 - e == EpsScalar.one() - e
+    assert x - e == -(e - x)
+    state = State2D({(0, 0, 0, 0): 1})
+    with pytest.raises(TypeError, match="unsupported operand type\\(s\\) for -"):
+        1 - state
+    with pytest.raises(TypeError, match="unsupported operand type\\(s\\) for -"):
+        1 - State1D.power(0)

@@ -450,3 +450,83 @@ def test_line_factorizations_are_machine_checkable():
         rhs_space, rhs = build_from_text(v.rhs)
         assert lhs_space == rhs_space == "1d"
         assert lhs.terms() == rhs.terms()
+
+
+def _grid_texts(per_point):
+    # "at (lam,mu): residual" over the audit's probe grid, skipping zeros
+    grid = ("0,0", "1,0", "0,2", "1,1", "1/2,0", "0,1/2", "-3/2,0", "-2,3", "5/2,-1/2")
+    return "; ".join("%sat (%s): %s" % (g, p, r) for p, rs in zip(grid, per_point) for g, r in rs)
+
+
+def test_audit_fail_texts_of_the_action_checks(monkeypatch):
+    # with both actions the identity, every action check fails; pin its texts
+    from kreinosc import sectors
+
+    monkeypatch.setattr(sectors, "apply_2d", lambda op, s: s)
+    monkeypatch.setattr(sectors, "apply_1d", lambda op, s: s)
+    verdicts = {v.identity_id: v for v in identity_audit()}
+    om = "1*zbar^(0)*z^(0)"
+    assert verdicts["vacuum-annihilation-plus"].residual == om
+    assert verdicts["vacuum-annihilation-minus"].residual == om
+    assert verdicts["line-vacuum-annihilation-alpha-plus"].residual == "1*x^(-1)"
+    assert verdicts["line-vacuum-annihilation-alpha-minus"].residual == "1*x^(2)"
+    h = [
+        [],
+        [("", "-1*zbar^(1)*z^(0)")],
+        [("", "-2*zbar^(0)*z^(2)")],
+        [("", "2*zbar^(0)*z^(0) - 2*zbar^(1)*z^(1)")],
+        [("", "-1/2*zbar^(1/2)*z^(0)")],
+        [("", "-1/2*zbar^(0)*z^(1/2)")],
+        [("", "3/2*zbar^(-3/2)*z^(0)")],
+        [("", "-12*zbar^(-3)*z^(2) - 1*zbar^(-2)*z^(3)")],
+        [("", "-5/2*zbar^(3/2)*z^(-3/2) - 2*zbar^(5/2)*z^(-1/2)")],
+    ]
+    assert verdicts["hamiltonian-closed-action"].residual == _grid_texts(h)
+    q = [
+        "1*zbar^(0)*z^(0)",
+        "2*zbar^(1)*z^(0)",
+        "-1*zbar^(0)*z^(2)",
+        "1*zbar^(1)*z^(1)",
+        "3/2*zbar^(1/2)*z^(0)",
+        "1/2*zbar^(0)*z^(1/2)",
+        "-1/2*zbar^(-3/2)*z^(0)",
+        "-4*zbar^(-2)*z^(3)",
+        "4*zbar^(5/2)*z^(-1/2)",
+    ]
+    assert verdicts["charge-closed-action"].residual == _grid_texts([[("", r)] for r in q])
+    b = [
+        ("1*zbar^(0)*z^(0) - 1*zbar^(0)*z^(1)", "1*zbar^(0)*z^(0) - 1*zbar^(1)*z^(0)",
+         "1*zbar^(0)*z^(0)", "1*zbar^(0)*z^(0)"),
+        ("1*zbar^(0)*z^(0) + 1*zbar^(1)*z^(0) - 1*zbar^(1)*z^(1)",
+         "1*zbar^(1)*z^(0) - 1*zbar^(2)*z^(0)", "1*zbar^(1)*z^(0)",
+         "-1*zbar^(0)*z^(0) + 1*zbar^(1)*z^(0)"),
+        ("1*zbar^(0)*z^(2) - 1*zbar^(0)*z^(3)",
+         "2*zbar^(0)*z^(1) + 1*zbar^(0)*z^(2) - 1*zbar^(1)*z^(2)",
+         "-2*zbar^(0)*z^(1) + 1*zbar^(0)*z^(2)", "1*zbar^(0)*z^(2)"),
+        ("1*zbar^(0)*z^(1) + 1*zbar^(1)*z^(1) - 1*zbar^(1)*z^(2)",
+         "1*zbar^(1)*z^(0) + 1*zbar^(1)*z^(1) - 1*zbar^(2)*z^(1)",
+         "-1*zbar^(1)*z^(0) + 1*zbar^(1)*z^(1)", "-1*zbar^(0)*z^(1) + 1*zbar^(1)*z^(1)"),
+        ("1/2*zbar^(-1/2)*z^(0) + 1*zbar^(1/2)*z^(0) - 1*zbar^(1/2)*z^(1)",
+         "1*zbar^(1/2)*z^(0) - 1*zbar^(3/2)*z^(0)", "1*zbar^(1/2)*z^(0)",
+         "-1/2*zbar^(-1/2)*z^(0) + 1*zbar^(1/2)*z^(0)"),
+        ("1*zbar^(0)*z^(1/2) - 1*zbar^(0)*z^(3/2)",
+         "1/2*zbar^(0)*z^(-1/2) + 1*zbar^(0)*z^(1/2) - 1*zbar^(1)*z^(1/2)",
+         "-1/2*zbar^(0)*z^(-1/2) + 1*zbar^(0)*z^(1/2)", "1*zbar^(0)*z^(1/2)"),
+        ("-3/2*zbar^(-5/2)*z^(0) + 1*zbar^(-3/2)*z^(0) - 1*zbar^(-3/2)*z^(1)",
+         "1*zbar^(-3/2)*z^(0) - 1*zbar^(-1/2)*z^(0)", "1*zbar^(-3/2)*z^(0)",
+         "3/2*zbar^(-5/2)*z^(0) + 1*zbar^(-3/2)*z^(0)"),
+        ("-2*zbar^(-3)*z^(3) + 1*zbar^(-2)*z^(3) - 1*zbar^(-2)*z^(4)",
+         "3*zbar^(-2)*z^(2) + 1*zbar^(-2)*z^(3) - 1*zbar^(-1)*z^(3)",
+         "-3*zbar^(-2)*z^(2) + 1*zbar^(-2)*z^(3)", "2*zbar^(-3)*z^(3) + 1*zbar^(-2)*z^(3)"),
+        ("5/2*zbar^(3/2)*z^(-1/2) + 1*zbar^(5/2)*z^(-1/2) - 1*zbar^(5/2)*z^(1/2)",
+         "-1/2*zbar^(5/2)*z^(-3/2) + 1*zbar^(5/2)*z^(-1/2) - 1*zbar^(7/2)*z^(-1/2)",
+         "1/2*zbar^(5/2)*z^(-3/2) + 1*zbar^(5/2)*z^(-1/2)",
+         "-5/2*zbar^(3/2)*z^(-1/2) + 1*zbar^(5/2)*z^(-1/2)"),
+    ]
+    gens = [g + " " for g in GENERATOR_ORDER]
+    assert verdicts["ladder-closed-action"].residual == _grid_texts(
+        [list(zip(gens, rs)) for rs in b]
+    )
+    for id_ in ("hamiltonian-closed-action", "charge-closed-action", "ladder-closed-action"):
+        assert verdicts[id_].status == "FAIL"
+        assert verdicts[id_].corrected_form is None
