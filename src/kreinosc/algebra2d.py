@@ -27,6 +27,7 @@ Everything is immutable and all functions are pure.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,17 +300,21 @@ def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
 # ---------------------------------------------------------------------------
 
 
-# Each ladder generator lowers one exponent, multiplying by -/+ its value,
-# and b_pp and b_pm also raise the other one with coefficient 1:
+# The four ladder generators b, in the order of sectors.GENERATOR_ORDER: the
+# expression name; the closed-form action, as (lowers mu rather than lam,
+# sign of the lowering term, also raises the other exponent by one)
 #   b_pp: -(lam) at lam-1, + mu+1      b_mm: +(lam) at lam-1
 #   b_pm: -(mu)  at mu-1,  + lam+1     b_mp: +(mu)  at mu-1
-# as (lowers mu rather than lam, sign of the lowering term, also raises).
-# The identity audit checks this table against apply_2d on a probe grid.
+# dE and dQ, with [H, b] = dE b and [Q, b] = dQ b; and for a raising b the
+# conjugate c with [c, b] = 1 (every other pair commutes).  Closure, the dark
+# scan and the expression names read this table; the identity audit checks
+# each column against the differential forms of build_op_2d.
+_Ladder = namedtuple("_Ladder", "name lowers_mu sign raises dE dQ conj")
 _LADDER = {
-    "b_pp": (False, -1, True),
-    "b_pm": (True, -1, True),
-    "b_mp": (True, 1, False),
-    "b_mm": (False, 1, False),
+    "b_pp": _Ladder("b++", False, -1, True, 1, 1, "b_mp"),
+    "b_pm": _Ladder("b+-", True, -1, True, 1, -1, "b_mm"),
+    "b_mp": _Ladder("b-+", True, 1, False, -1, -1, None),
+    "b_mm": _Ladder("b--", False, 1, False, -1, 1, None),
 }
 
 
@@ -327,7 +332,7 @@ def ladder_closed_form(which: str, lam, mu) -> tuple:
     """
     lam = _as_fraction(lam)
     mu = _as_fraction(mu)
-    lowers_mu, sign, raises = _ladder_row(which)
+    _, lowers_mu, sign, raises, *_ = _ladder_row(which)
     if lowers_mu:
         out = ((sign * mu, lam, mu - 1),)
         return out + ((Fraction(1), lam + 1, mu),) if raises else out
@@ -348,7 +353,7 @@ def ladder_image(which: str, s: State2D) -> State2D:
     through the sorted terms(), and the float sums that are printed (sort
     keys of node energies and charges) come from single-term coefficients.
     """
-    lowers_mu, sign, raises = _ladder_row(which)
+    _, lowers_mu, sign, raises, *_ = _ladder_row(which)
     out: dict[tuple, EpsScalar] = {}
     for (lam, ls, mu, ms), v in s._terms.items():
         if lowers_mu:

@@ -62,6 +62,7 @@ from .sectors import (
     EXPORT_FORMATS,
     GENERATOR_ORDER,
     PRESET_NAMES,
+    TOWERS,
     classify_limit,
     dark_check,
     generate_sector,
@@ -130,13 +131,8 @@ def load_state_spec(spec: str):
 
 
 def _default_generators(spec: str) -> tuple:
-    if spec == "psi0":
-        return ("b_pp", "b_pm")
-    if spec.startswith("eps:"):
-        return ("b_pp", "b_pm", "b_mm")
-    if spec.startswith("eps-conj:"):
-        return ("b_pp", "b_pm", "b_mp")
-    return GENERATOR_ORDER
+    tower = {"psi0": "vacuum", "eps": "zbar", "eps-conj": "z"}.get(spec.partition(":")[0])
+    return TOWERS.get(tower, GENERATOR_ORDER)
 
 
 def _add_lattice_args(sub, with_file=False) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra1d import DiffOp1D, build_op_1d
-from .algebra2d import DiffOp2D, build_op_2d
+from .algebra2d import DiffOp2D, _LADDER, build_op_2d
 from .errors import ArityError, DepthExceeded, DomainError, OpSyntaxError, UnknownNameError
 
 MAX_NESTING = 64
@@ -49,10 +49,7 @@ MAX_DEGREE = 12
 NAMES_2D = {
     "H": "H",
     "Q": "Q",
-    "b++": "b_pp",
-    "b+-": "b_pm",
-    "b-+": "b_mp",
-    "b--": "b_mm",
+    **{row.name: g for g, row in _LADDER.items()},
     "z": "Z",
     "zbar": "ZBAR",
     "dz": "DZ",

@@ -22,15 +22,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from types import MappingProxyType
+from itertools import product
 
 from .algebra1d import apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import (
     State2D,
+    _LADDER,
     apply_2d,
     build_op_2d,
-    commutator_2d,
     eigencheck_2d,
     inner_2d,
     ladder_closed_form,
@@ -52,7 +51,7 @@ from .scalars import (
     scalar_sign,
 )
 
-GENERATOR_ORDER = ("b_pp", "b_pm", "b_mp", "b_mm")
+GENERATOR_ORDER = tuple(_LADDER)
 _GEN_RANK = {g: i for i, g in enumerate(GENERATOR_ORDER)}
 
 MAX_DEPTH = 16
@@ -71,31 +70,25 @@ MAX_SECTOR_NODES = 1000
 # scan ends within about 3 s.
 MAX_DARK_WORK = 12_000
 
+# Work budget of one Gram analysis, predicted before any pairing: n(n+1)/2
+# pairings plus ~n^3 elimination steps per charge block of n nodes.  The
+# presets at MAX_DEPTH predict 43690 at most, omega:1/2,3 at depth 4 74451
+# (0.8 s) and at depth 5 760298 (~5 s).
+MAX_GRAM_WORK = 100_000
+
 
 def _gen_ops() -> dict:
     return {g: build_op_2d(g) for g in GENERATOR_ORDER}
 
 
-@functools.cache
-def _ladder_shifts(name: str) -> MappingProxyType:
-    """Read-only {generator: d} with [op, b] = d b, d rational, for op = H or Q.
+def _ladder_shifts(name: str) -> dict:
+    """{generator: d} with [op, b] = d b, for op = H or Q, from _LADDER.
 
-    Read off the commutators and checked for exact proportionality, once
-    per process and on first use.  So op (b s) = (e + d) (b s) whenever
-    op s = e s.  Q is diagonal on monomials, so b also moves the charge
-    -L + M of every monomial by its Q shift.
+    So op (b s) = (e + d) (b s) whenever op s = e s.  Q is diagonal on
+    monomials, so b also moves the charge -L + M of every monomial by its
+    Q shift.  The identity audit checks both columns.
     """
-    op = build_op_2d(name)
-    shifts = {}
-    for g, b in _gen_ops().items():
-        comm = commutator_2d(op, b)
-        key = min(b._terms)
-        d = comm._terms.get(key, GS_ZERO).try_div(b._terms[key])
-        d = None if d is None else d.as_fraction()
-        exact = d is not None and comm == b.scaled(d)
-        assert exact, "[%s, %s] is not a rational multiple of %s" % (name, g, g)
-        shifts[g] = d
-    return MappingProxyType(shifts)
+    return {g: row.dE if name == "H" else row.dQ for g, row in _LADDER.items()}
 
 
 def _eps_text(v) -> str:
@@ -161,10 +154,10 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     DepthExceeded before any eigenvalue is computed.
 
     Every node is keyed by its exact (energy, charge) eigenvalues, taken
-    from the ladder algebra: [H, b] = dE(b) b and [Q, b] = dQ(b) b for
-    each generator b, so a node discovered as b s from a parent s with
-    H s = E s has H (b s) = (E + dE(b)) (b s), and likewise for Q; the
-    monic rescaling keeps this.  The seed, and any node whose parent has
+    from the ladder table algebra2d._LADDER: [H, b] = dE(b) b and
+    [Q, b] = dQ(b) b for each generator b, so a node discovered as b s
+    from a parent s with H s = E s has H (b s) = (E + dE(b)) (b s), and
+    likewise for Q; the monic rescaling keeps this.  The seed, and any node whose parent has
     no eigenvalue of that operator, is checked by applying H or Q (the
     children of a non-eigenstate can still be eigenstates).  A node
     failing either check is kept and reported in the lattice warnings.
@@ -222,14 +215,13 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                     new_frontier.append(j)
         frontier = new_frontier
 
-    op_h = build_op_2d("H")
-    op_q = build_op_2d("Q")
     energies, charges, warnings = [], [], []
+    checks = (
+        (build_op_2d("H"), _ladder_shifts("H"), energies, "an energy"),
+        (build_op_2d("Q"), _ladder_shifts("Q"), charges, "a charge"),
+    )
     for i, (s, (p, g)) in enumerate(zip(states, parents)):
-        for op, shifts, values, what in (
-            (op_h, _ladder_shifts("H"), energies, "an energy"),
-            (op_q, _ladder_shifts("Q"), charges, "a charge"),
-        ):
+        for op, shifts, values, what in checks:
             if p is not None and values[p] is not None:
                 v = values[p] + shifts[g]
             else:
@@ -251,40 +243,40 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     )
 
 
-# Named towers.  The vacuum tower is closed under the two raising
-# operators alone; the half-power towers add the one lowering operator
-# that moves the deformed exponent.
-PRESET_NAMES = ("vacuum", "half-zbar", "half-z")
+# Tower generator sets, and the named towers: name -> (seed, seed text,
+# generators).  The vacuum tower is closed under the two raising operators
+# alone; a tower seeded on a power of zbar (of z) adds the one lowering
+# operator that moves that exponent.
+TOWERS = {
+    "vacuum": ("b_pp", "b_pm"), "zbar": ("b_pp", "b_pm", "b_mm"), "z": ("b_pp", "b_pm", "b_mp")
+}
+_PRESETS = {
+    "vacuum": (psi0(), "psi0", TOWERS["vacuum"]),
+    "half-zbar": (omega(_HALF, 0), "omega:1/2,0", TOWERS["zbar"]),
+    "half-z": (omega(0, _HALF), "omega:0,1/2", TOWERS["z"]),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_sector(name: str, depth: int = 2) -> SectorLattice:
-    if name == "vacuum":
-        return generate_sector(psi0(), ("b_pp", "b_pm"), depth, seed_text="psi0")
-    if name == "half-zbar":
-        return generate_sector(
-            omega(_HALF, 0), ("b_pp", "b_pm", "b_mm"), depth, seed_text="omega:1/2,0"
-        )
-    if name == "half-z":
-        return generate_sector(
-            omega(0, _HALF), ("b_pp", "b_pm", "b_mp"), depth, seed_text="omega:0,1/2"
-        )
-    raise DomainError("unknown preset %r; choose from %s" % (name, ", ".join(PRESET_NAMES)))
+    if name not in _PRESETS:
+        raise DomainError("unknown preset %r; choose from %s" % (name, ", ".join(PRESET_NAMES)))
+    seed, seed_text, gens = _PRESETS[name]
+    return generate_sector(seed, gens, depth, seed_text=seed_text)
 
 
 def eps_sector(lam_const, depth: int = 2) -> SectorLattice:
     """Deformed tower seeded on zbar^(lam_const + eps), renormalized pairing."""
     seed = omega(_as_fraction(lam_const), 0, lam_slope=1).with_renorm(_HALF)
-    return generate_sector(
-        seed, ("b_pp", "b_pm", "b_mm"), depth, seed_text="eps:%s" % _as_fraction(lam_const)
-    )
+    text = "eps:%s" % _as_fraction(lam_const)
+    return generate_sector(seed, TOWERS["zbar"], depth, seed_text=text)
 
 
 def eps_conj_sector(mu_const, depth: int = 2) -> SectorLattice:
     """Mirror deformation on the z exponent."""
     seed = omega(0, _as_fraction(mu_const), mu_slope=1).with_renorm(_HALF)
-    return generate_sector(
-        seed, ("b_pp", "b_pm", "b_mp"), depth, seed_text="eps-conj:%s" % _as_fraction(mu_const)
-    )
+    text = "eps-conj:%s" % _as_fraction(mu_const)
+    return generate_sector(seed, TOWERS["z"], depth, seed_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +370,17 @@ def _block_result(lattice, charge, indices) -> GramResult:
     )
 
 
+def _analyse(lattice, blocks) -> list:
+    """GramResults of the (charge, node indices) blocks, within MAX_GRAM_WORK."""
+    work = sum(len(ix) * (len(ix) + 1) // 2 + len(ix) ** 3 for _, ix in blocks)
+    if work > MAX_GRAM_WORK:
+        raise DepthExceeded(
+            "gram analysis predicts %d units of pairing and elimination, above the "
+            "budget of %d; lower the depth" % (work, MAX_GRAM_WORK)
+        )
+    return [_block_result(lattice, charge, indices) for charge, indices in blocks]
+
+
 def gram(lattice: SectorLattice, charge) -> GramResult:
     """Gram data of the charge block addressed by a rational charge.
 
@@ -386,24 +389,17 @@ def gram(lattice: SectorLattice, charge) -> GramResult:
     addressing is unambiguous (ambiguity raises DomainError).
     """
     q = _as_fraction(charge)
-    matched = []
-    keys = set()
-    for node in lattice.nodes:
-        if node.charge is None:
-            continue
-        const = node.charge.coeff(0).as_fraction()
-        if const == q:
-            matched.append(node.index)
-            keys.add(node.charge.sort_key())
+    matched = [
+        n for n in lattice.nodes if n.charge is not None and n.charge.coeff(0).as_fraction() == q
+    ]
     if not matched:
         raise DomainError("no nodes with charge %s" % q)
-    if len(keys) > 1:
+    if len({n.charge.sort_key() for n in matched}) > 1:
         raise DomainError(
             "charge %s is ambiguous in this lattice: several eps-dependent "
             "charges share that constant part" % q
         )
-    full = lattice.nodes[matched[0]].charge
-    return _block_result(lattice, full, matched)
+    return _analyse(lattice, [(matched[0].charge, [n.index for n in matched])])[0]
 
 
 @dataclass(frozen=True)
@@ -420,26 +416,17 @@ def quotient_report(lattice: SectorLattice) -> QuotientReport:
     Gram form is the direct sum of the blockwise kernels; the quotient
     dimension is dim_total - dim_null.
     """
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # charge sort key -> (charge, node indices)
     for node in lattice.nodes:
         if node.charge is None:
             raise DomainError(
                 "node %d has no charge eigenvalue; quotient analysis needs "
                 "charge-homogeneous nodes" % node.index
             )
-        k = node.charge.sort_key()
-        if k not in groups:
-            groups[k] = (node.charge, [])
-            order.append(k)
-        groups[k][1].append(node.index)
-    blocks = []
-    for k in sorted(order):
-        charge, indices = groups[k]
-        blocks.append(_block_result(lattice, charge, indices))
-    dim_total = len(lattice.nodes)
+        groups.setdefault(node.charge.sort_key(), (node.charge, []))[1].append(node.index)
+    blocks = _analyse(lattice, [groups[k] for k in sorted(groups)])
     dim_null = sum(b.signature[2] for b in blocks)
-    return QuotientReport(dim_total=dim_total, dim_null=dim_null, blocks=tuple(blocks))
+    return QuotientReport(dim_total=len(lattice.nodes), dim_null=dim_null, blocks=tuple(blocks))
 
 
 def classify_limit(s: State2D) -> str:
@@ -491,17 +478,11 @@ def _word_text(w) -> str:
 
 
 def _ladder_algebra() -> tuple:
-    """(charge shift of each generator, ordered pairs of generators that commute)."""
-    shifts = {}
-    for g, d in _ladder_shifts("Q").items():
-        assert d.denominator == 1, "%s shifts charges by a fraction" % g
-        shifts[g] = int(d)
-    ops = _gen_ops()
-    commuting = set()
-    for g, h in combinations(ops, 2):
-        if commutator_2d(ops[g], ops[h]).is_zero():
-            commuting |= {(g, h), (h, g)}
-    return shifts, frozenset(commuting)
+    """(charge shift of each generator, ordered pairs of generators that commute), from _LADDER."""
+    conjugate = {(g, row.conj) for g, row in _LADDER.items() if row.conj}
+    conjugate |= {(c, g) for g, c in conjugate}
+    commuting = frozenset((g, h) for g in _LADDER for h in _LADDER if g != h) - conjugate
+    return _ladder_shifts("Q"), commuting
 
 
 def _normal_form(word, commuting) -> tuple:
@@ -551,18 +532,19 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     report:
 
     * Charge reachability.  Each generator shifts the charge of every
-      monomial by the same integer (b_pp +1, b_pm -1, b_mp -1, b_mm +1)
-      and keeps the eps slopes, so a word w of degree d with total shift
+      monomial by the same integer, its dQ in algebra2d._LADDER, and
+      keeps the eps slopes, so a word w of degree d with total shift
       sigma(w) maps a charge (c, s) of node j to (c + sigma(w), s).  The
       image of node j under w is built only when some charge (c, s) of j
       and some charge (c', s) of sector a leave t = c' - c - sigma(w) an
       integer with |t| <= max_degree - d, and then only when a pairing
       needs it (t = 0 for w or for an extension of w).
-    * Commutation classes.  [b_pp, b_pm] = [b_mp, b_mm] = [b_pm, b_mp] =
-      [b_pp, b_mm] = 0, so words that differ by swapping such neighbours
-      are one operator.  Only the lexicographically least word of each
-      class is extended and evaluated; the others repeat its pairs and
-      entries under their own text.
+    * Commutation classes.  Every pair of generators but a raising one
+      and its conjugate in _LADDER commutes, so words that differ by
+      swapping such neighbours are one operator.  Only the
+      lexicographically least word of each class is extended and
+      evaluated; the others repeat its pairs and entries under their own
+      text.
 
     Before any image is built, the images and pair evaluations that the
     reachability rule predicts are counted; a scan above MAX_DARK_WORK
@@ -702,24 +684,40 @@ _PROBE_GRID = (
 )
 
 
+def _raising() -> dict:
+    """{tag: generator} for the raising rows of _LADDER, tagged plus and minus."""
+    return dict(zip(("plus", "minus"), (g for g, row in _LADDER.items() if row.conj)))
+
+
+def _ladder_relations() -> tuple:
+    """The rows of _RELATIONS that restate _LADDER, written from it.
+
+    The cross row lists each lowering generator with the raising one it
+    commutes with, then the raising pair, then the lowering pair.
+    """
+    name = {g: row.name for g, row in _LADDER.items()}
+    raising = list(_raising().values())
+    lowering = [g for g in _LADDER if g not in raising]
+    pairs = [(g, h) for g in lowering for h in raising] + [tuple(raising), tuple(lowering)]
+    _, commuting = _ladder_algebra()
+    rows = [
+        ("%s-ladder-commutator" % tag, (("[%s, %s]" % (name[_LADDER[g].conj], name[g]), "1"),))
+        for tag, g in _raising().items()
+    ]
+    cross = tuple(("[%s, %s]" % (name[g], name[h]), "0") for g, h in pairs if (g, h) in commuting)
+    rows.append(("cross-ladder-commutators", cross))
+    for id_, op in (("hamiltonian-ladder-action", "H"), ("charge-ladder-action", "Q")):
+        # d b, with a coefficient of 1 or -1 written as a sign
+        action = [(g, {1: "", -1: "-"}.get(d, "%s " % d)) for g, d in _ladder_shifts(op).items()]
+        rows.append((id_, tuple(("[%s, %s]" % (op, name[g]), c + name[g]) for g, c in action)))
+    return tuple(rows)
+
+
 # The operator relations the audit checks, in verdict order: (id, the
 # (lhs, rhs) pairs in the expression language, the corrected form of a
 # relation that fails).  Each pair is checked by building lhs - (rhs).
-_RELATIONS = (
-    ("plus-ladder-commutator", (("[b-+, b++]", "1"),)),
-    ("minus-ladder-commutator", (("[b--, b+-]", "1"),)),
-    (
-        "cross-ladder-commutators",
-        (("[b-+, b+-]", "0"), ("[b--, b++]", "0"), ("[b++, b+-]", "0"), ("[b-+, b--]", "0")),
-    ),
-    (
-        "hamiltonian-ladder-action",
-        (("[H, b++]", "b++"), ("[H, b+-]", "b+-"), ("[H, b-+]", "-b-+"), ("[H, b--]", "-b--")),
-    ),
-    (
-        "charge-ladder-action",
-        (("[Q, b++]", "b++"), ("[Q, b+-]", "-b+-"), ("[Q, b-+]", "-b-+"), ("[Q, b--]", "b--")),
-    ),
+# The first five restate _LADDER; identity_audit writes them afresh.
+_RELATIONS = _ladder_relations() + (
     ("charge-hamiltonian-commute", (("[Q, H]", "0"),)),
     (
         "hamiltonian-bilinear-form",
@@ -775,11 +773,14 @@ def identity_audit() -> tuple:
             for label, name, closed in checks
         ]
 
-    for rel in _RELATIONS[:8]:  # the planar ones
+    relations = _ladder_relations()
+    relations += _RELATIONS[len(relations) :]
+    for rel in relations[:8]:  # the planar ones
         relation(*rel)
-    for gen_name, g, tag in (("b-+", "b_mp", "plus"), ("b--", "b_mm", "minus")):
-        cases = [("", apply_2d(build_op_2d(g), psi0()))]
-        verdict("vacuum-annihilation-%s" % tag, "%s Psi0" % gen_name, "0", cases)
+    for tag, g in _raising().items():
+        c = _LADDER[g].conj
+        cases = [("", apply_2d(build_op_2d(c), psi0()))]
+        verdict("vacuum-annihilation-%s" % tag, "%s Psi0" % _LADDER[c].name, "0", cases)
 
     verdict(
         "hamiltonian-closed-action",
@@ -805,7 +806,7 @@ def identity_audit() -> tuple:
 
     # each line factorization, then the vacuum of its coupling
     line_couplings = ((Fraction(1), "plus"), (Fraction(-2), "minus"))
-    for rel, (alpha, tag) in zip(_RELATIONS[8:], line_couplings):
+    for rel, (alpha, tag) in zip(relations[8:], line_couplings):
         relation(*rel)
         cases = [("", apply_1d(build_op_1d("a_minus", alpha), solve_vacuum_1d(alpha)))]
         lhs = "a-@%s vacuum(alpha=%s)" % (alpha, alpha)
