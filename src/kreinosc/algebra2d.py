@@ -372,6 +372,70 @@ def ladder_image(which: str, s: State2D) -> State2D:
 
 
 # ---------------------------------------------------------------------------
+# closed-form H and Q action
+# ---------------------------------------------------------------------------
+
+
+# The actions of H and Q on Om(lam, mu) = zbar^lam z^mu, with lam and mu
+# rationals or eps-affine polynomials: the coefficient of Om(lam, mu), and of
+# Om(lam-1, mu-1) for an operator that lowers (None for Q),
+#   H Om(lam,mu) = (lam+mu+1) Om(lam,mu) - 2 lam mu Om(lam-1,mu-1)
+#   Q Om(lam,mu) = (mu-lam) Om(lam,mu).
+# eigencheck_2d runs on this table; the identity audit checks each row
+# against the differential forms of build_op_2d.
+_Closed = namedtuple("_Closed", "diagonal lowering")
+_CLOSED = {
+    "H": _Closed(lambda lam, mu: lam + mu + 1, lambda lam, mu: -2 * lam * mu),
+    "Q": _Closed(lambda lam, mu: mu - lam, None),
+}
+
+
+def closed_form(name: str, lam, mu) -> tuple:
+    """Action of H or Q on a bare monomial, as (coeff, lam', mu') triples.
+
+    The shape of ladder_closed_form; a zero coefficient is kept.
+    """
+    lam = _as_fraction(lam)
+    mu = _as_fraction(mu)
+    row = _CLOSED[name]
+    out = ((row.diagonal(lam, mu), lam, mu),)
+    return out + ((row.lowering(lam, mu), lam - 1, mu - 1),) if row.lowering else out
+
+
+@functools.cache
+def _closed_names() -> dict:
+    """{operator: name} for the operators of _CLOSED, built on first use."""
+    return {build_op_2d(name): name for name in _CLOSED}
+
+
+def _closed_image(row: _Closed, s: State2D) -> State2D:
+    """op s term by term, for the operator op whose _CLOSED row is ``row``."""
+    out: dict[tuple, EpsScalar] = {}
+    for (lam, ls, mu, ms), c in s._terms.items():
+        lam_e = EpsScalar.affine(lam, ls) if ls else lam
+        mu_e = EpsScalar.affine(mu, ms) if ms else mu
+        _put(out, (lam, ls, mu, ms), c * row.diagonal(lam_e, mu_e))
+        if row.lowering:
+            _put(out, (lam - 1, ls, mu - 1, ms), c * row.lowering(lam_e, mu_e))
+    return s._like(out)
+
+
+def _lowers_off(s: State2D) -> bool:
+    """Whether H's lowering term carries some key of s off the keys of s.
+
+    That term's coefficient -2 lam mu c is nonzero wherever lam and mu are
+    nonzero polynomials, and the map (lam, mu) -> (lam-1, mu-1) is
+    injective, so the image of such a key whose shift is no key of s has
+    a term that s lacks: s is no eigenstate of H.
+    """
+    keys = s._terms
+    return any(
+        (lam or ls) and (mu or ms) and (lam - 1, ls, mu - 1, ms) not in keys
+        for lam, ls, mu, ms in keys
+    )
+
+
+# ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
 
@@ -530,9 +594,19 @@ def eigencheck_2d(op: DiffOp2D, s: State2D):
     """Exact eigenvalue of s under op as an EpsScalar, or None.
 
     A constant eigenvalue compares and hashes equal to its GradedScalar,
-    a rational one to its Fraction.
+    a rational one to its Fraction.  The image of H or Q comes from its
+    closed form in _CLOSED, any other operator's from apply_2d; either
+    way the ratio to s is then decided as for apply_2d, so the value and
+    its stored terms are the same.  H is refused without a multiply when
+    its lowering term leaves the keys of s (_lowers_off).
     """
-    return _eigenvalue(apply_2d, op, s)
+    name = _closed_names().get(op)
+    if name is None:
+        return _eigenvalue(apply_2d, op, s)
+    row = _CLOSED[name]
+    if row.lowering and _lowers_off(s):
+        return None
+    return _eigenvalue(_closed_image, row, s)
 
 
 def states_proportional(a: State2D, b: State2D):
