@@ -42,7 +42,6 @@ from .algebra1d import (
 )
 from .errors import DomainError, NotConvergent, PoleError
 from .scalars import (
-    GS_ONE,
     GS_PI,
     GS_ZERO,
     EpsScalar,
@@ -72,6 +71,11 @@ def _check_renorm(power) -> Fraction:
     if power not in (0, _HALF):
         raise DomainError("renorm power must be 0 or 1/2")
     return power
+
+
+def _affine(c0, c1):
+    """c0 + c1*eps, as the rational c0 when c1 is zero."""
+    return EpsScalar.affine(c0, c1) if c1 else c0
 
 
 # ---------------------------------------------------------------------------
@@ -191,53 +195,31 @@ class DiffOp2D(_DiffOp):
         return NotImplemented
 
 
+# The differential forms of the named planar operators, as normal-ordered
+# term maps (zbar_pow, z_pow, dzbar, dz) -> coefficient.  H and Q are the
+# ground truth of the identity audit; the four b operators are the
+# half-normalized first-order ladder pair for each rotation sense.
+_FORMS = {
+    "H": {(0, 0, 1, 1): -_HALF, (1, 1, 0, 0): _HALF},  # (1/2)(-dzbar dz + zbar z)
+    "Q": {(1, 0, 1, 0): -_HALF, (0, 1, 0, 1): _HALF},  # (1/2)(-zbar dzbar + z dz)
+    "b_pp": {(0, 0, 1, 0): -_HALF, (0, 1, 0, 0): _HALF},  # (1/2)(-dzbar + z)
+    "b_mp": {(0, 0, 0, 1): _HALF, (1, 0, 0, 0): _HALF},  # (1/2)(dz + zbar)
+    "b_pm": {(0, 0, 0, 1): -_HALF, (1, 0, 0, 0): _HALF},  # (1/2)(-dz + zbar)
+    "b_mm": {(0, 0, 1, 0): _HALF, (0, 1, 0, 0): _HALF},  # (1/2)(dzbar + z)
+    "Z": {(0, 1, 0, 0): 1},
+    "ZBAR": {(1, 0, 0, 0): 1},
+    "DZ": {(0, 0, 0, 1): 1},
+    "DZBAR": {(0, 0, 1, 0): 1},
+}
+
+
 @functools.cache
 def build_op_2d(name: str) -> DiffOp2D:
-    """Named generators of the planar algebra.
-
-    H and Q are built from their differential forms (the ground truth
-    used by the identity audit); the four b operators are the
-    half-normalized first-order ladder pair for each rotation sense.
-    """
-    half = GradedScalar.rational(_HALF)
-    zero = Fraction(0)
-    if name == "H":
-        # (1/2)(-dzbar dz + zbar z)
-        return DiffOp2D(
-            {
-                (zero, zero, 1, 1): -half,
-                (Fraction(1), Fraction(1), 0, 0): half,
-            }
-        )
-    if name == "Q":
-        # (1/2)(-zbar dzbar + z dz)
-        return DiffOp2D(
-            {
-                (Fraction(1), zero, 1, 0): -half,
-                (zero, Fraction(1), 0, 1): half,
-            }
-        )
-    if name == "b_pp":
-        # (1/2)(-dzbar + z)
-        return DiffOp2D({(zero, zero, 1, 0): -half, (zero, Fraction(1), 0, 0): half})
-    if name == "b_mp":
-        # (1/2)(dz + zbar)
-        return DiffOp2D({(zero, zero, 0, 1): half, (Fraction(1), zero, 0, 0): half})
-    if name == "b_pm":
-        # (1/2)(-dz + zbar)
-        return DiffOp2D({(zero, zero, 0, 1): -half, (Fraction(1), zero, 0, 0): half})
-    if name == "b_mm":
-        # (1/2)(dzbar + z)
-        return DiffOp2D({(zero, zero, 1, 0): half, (zero, Fraction(1), 0, 0): half})
-    if name == "Z":
-        return DiffOp2D({(zero, Fraction(1), 0, 0): GS_ONE})
-    if name == "ZBAR":
-        return DiffOp2D({(Fraction(1), zero, 0, 0): GS_ONE})
-    if name == "DZ":
-        return DiffOp2D({(zero, zero, 0, 1): GS_ONE})
-    if name == "DZBAR":
-        return DiffOp2D({(zero, zero, 1, 0): GS_ONE})
-    raise DomainError("unknown 2d operator %r" % name)
+    """The named generator of the planar algebra, from its form in _FORMS."""
+    try:
+        return DiffOp2D(_FORMS[name])
+    except KeyError:
+        raise DomainError("unknown 2d operator %r" % name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +227,20 @@ def build_op_2d(name: str) -> DiffOp2D:
 # ---------------------------------------------------------------------------
 
 
-def _dz_terms(terms: dict) -> dict:
-    # dz: (lam, mu) -> coeff*2*(mu + mu_slope*eps) at (lam, mu-1), plus
-    #     -coeff at (lam+1, mu) from the weight.
-    out: dict[tuple, EpsScalar] = {}
-    for (lam, ls, mu, ms), c in terms.items():
-        mult = EpsScalar.affine(2 * mu, 2 * ms) if ms else 2 * mu
-        if mult:
-            _put(out, (lam, ls, mu - 1, ms), c * mult)
-        _put(out, (lam + 1, ls, mu, ms), -c)
-    return out
+def _d_terms(terms: dict, slot: int) -> dict:
+    """The derivative by the variable whose exponent is key[slot]: dzbar 0, dz 2.
 
-
-def _dzbar_terms(terms: dict) -> dict:
+    (x, slope) at that slot -> coeff*2*(x + slope*eps) at x-1, plus -coeff
+    with the other exponent raised by one, from the weight.
+    """
     out: dict[tuple, EpsScalar] = {}
-    for (lam, ls, mu, ms), c in terms.items():
-        mult = EpsScalar.affine(2 * lam, 2 * ls) if ls else 2 * lam
+    other = 2 - slot
+    for key, c in terms.items():
+        x = key[slot]
+        mult = _affine(2 * x, 2 * key[slot + 1])
         if mult:
-            _put(out, (lam - 1, ls, mu, ms), c * mult)
-        _put(out, (lam, ls, mu + 1, ms), -c)
+            _put(out, key[:slot] + (x - 1,) + key[slot + 1 :], c * mult)
+        _put(out, key[:other] + (key[other] + 1,) + key[other + 1 :], -c)
     return out
 
 
@@ -272,10 +249,8 @@ def apply_2d(op: DiffOp2D, s: State2D) -> State2D:
     total: dict[tuple, EpsScalar] = {}
     for (pb, p, rb, r), c in op._terms.items():
         cur = s._terms
-        for _ in range(r):
-            cur = _dz_terms(cur)
-        for _ in range(rb):
-            cur = _dzbar_terms(cur)
+        for slot in (2,) * r + (0,) * rb:
+            cur = _d_terms(cur, slot)
         for (lam, ls, mu, ms), v in cur.items():
             _put(total, (lam + pb, ls, mu + p, ms), v * c)
     return s._like(total)
@@ -296,128 +271,107 @@ def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
 
 
 # ---------------------------------------------------------------------------
-# closed-form ladder action
+# closed-form action
 # ---------------------------------------------------------------------------
 
 
 # The four ladder generators b, in the order of sectors.GENERATOR_ORDER: the
-# expression name; the closed-form action, as (lowers mu rather than lam,
-# sign of the lowering term, also raises the other exponent by one)
-#   b_pp: -(lam) at lam-1, + mu+1      b_mm: +(lam) at lam-1
-#   b_pm: -(mu)  at mu-1,  + lam+1     b_mp: +(mu)  at mu-1
-# dE and dQ, with [H, b] = dE b and [Q, b] = dQ b; and for a raising b the
-# conjugate c with [c, b] = 1 (every other pair commutes).  Closure, the dark
-# scan and the expression names read this table; the identity audit checks
-# each column against the differential forms of build_op_2d.
-_Ladder = namedtuple("_Ladder", "name lowers_mu sign raises dE dQ conj")
+# expression name; dE and dQ, with [H, b] = dE b and [Q, b] = dQ b; and for a
+# raising b the conjugate c with [c, b] = 1 (every other pair commutes).
+# Closure, the dark scan and the expression names read this table; the
+# identity audit checks each column against the differential forms.
+_Ladder = namedtuple("_Ladder", "name dE dQ conj")
 _LADDER = {
-    "b_pp": _Ladder("b++", False, -1, True, 1, 1, "b_mp"),
-    "b_pm": _Ladder("b+-", True, -1, True, 1, -1, "b_mm"),
-    "b_mp": _Ladder("b-+", True, 1, False, -1, -1, None),
-    "b_mm": _Ladder("b--", False, 1, False, -1, 1, None),
+    "b_pp": _Ladder("b++", 1, 1, "b_mp"),
+    "b_pm": _Ladder("b+-", 1, -1, "b_mm"),
+    "b_mp": _Ladder("b-+", -1, -1, None),
+    "b_mm": _Ladder("b--", -1, 1, None),
 }
 
 
-def _ladder_row(which: str) -> tuple:
-    try:
-        return _LADDER[which]
-    except KeyError:
-        raise DomainError("unknown ladder operator %r" % which) from None
-
-
-def ladder_closed_form(which: str, lam, mu) -> tuple:
-    """Action of one b operator on a bare monomial, as (coeff, lam', mu') triples.
-
-    Serves as an independent oracle for apply_2d on slope-free states.
-    """
-    lam = _as_fraction(lam)
-    mu = _as_fraction(mu)
-    _, lowers_mu, sign, raises, *_ = _ladder_row(which)
-    if lowers_mu:
-        out = ((sign * mu, lam, mu - 1),)
-        return out + ((Fraction(1), lam + 1, mu),) if raises else out
-    out = ((sign * lam, lam - 1, mu),)
-    return out + ((Fraction(1), lam, mu + 1),) if raises else out
-
-
-def ladder_image(which: str, s: State2D) -> State2D:
-    """b s for the ladder generator ``which``, by the action in _LADDER.
-
-    One multiply per output term, where apply_2d runs a derivative pass
-    and adds the multiplication term separately; a vanishing lowering term
-    is skipped.  The renorm marker is kept.
-
-    The result equals apply_2d(build_op_2d(which), s), but its terms may be
-    stored in another order (the derivative and weight branches are fused
-    per term).  Stored order never reaches output: printed states go
-    through the sorted terms(), and the float sums that are printed (sort
-    keys of node energies and charges) come from single-term coefficients.
-    """
-    _, lowers_mu, sign, raises, *_ = _ladder_row(which)
-    out: dict[tuple, EpsScalar] = {}
-    for (lam, ls, mu, ms), v in s._terms.items():
-        if lowers_mu:
-            mult = EpsScalar.affine(sign * mu, sign * ms) if ms else sign * mu
-            if mult:
-                _put(out, (lam, ls, mu - 1, ms), v * mult)
-            if raises:
-                _put(out, (lam + 1, ls, mu, ms), v)
-        else:
-            mult = EpsScalar.affine(sign * lam, sign * ls) if ls else sign * lam
-            if mult:
-                _put(out, (lam - 1, ls, mu, ms), v * mult)
-            if raises:
-                _put(out, (lam, ls, mu + 1, ms), v)
-    return s._like(out)
-
-
-# ---------------------------------------------------------------------------
-# closed-form H and Q action
-# ---------------------------------------------------------------------------
-
-
-# The actions of H and Q on Om(lam, mu) = zbar^lam z^mu, with lam and mu
-# rationals or eps-affine polynomials: the coefficient of Om(lam, mu), and of
-# Om(lam-1, mu-1) for an operator that lowers (None for Q),
-#   H Om(lam,mu) = (lam+mu+1) Om(lam,mu) - 2 lam mu Om(lam-1,mu-1)
-#   Q Om(lam,mu) = (mu-lam) Om(lam,mu).
-# eigencheck_2d runs on this table; the identity audit checks each row
-# against the differential forms of build_op_2d.
-_Closed = namedtuple("_Closed", "diagonal lowering")
+# The action of the six planar operators on Om(lam, mu) = zbar^lam z^mu, with
+# lam = lam0 + ls*eps and mu = mu0 + ms*eps: the image terms as (dlam, dmu,
+# coefficient of Om(lam+dlam, mu+dmu)), the coefficient a function of the key
+# (lam0, ls, mu0, ms), or None for 1,
+#   b_pp Om = -lam Om(lam-1,mu) + Om(lam,mu+1)      b_mm Om = lam Om(lam-1,mu)
+#   b_pm Om = -mu Om(lam,mu-1) + Om(lam+1,mu)       b_mp Om = mu Om(lam,mu-1)
+#   H Om = (lam+mu+1) Om - 2 lam mu Om(lam-1,mu-1)  Q Om = (mu-lam) Om.
+# Closure and the dark scan raise states by the ladder rows, eigencheck_2d
+# checks H and Q by theirs; the identity audit checks every row against the
+# differential forms in _FORMS.
 _CLOSED = {
-    "H": _Closed(lambda lam, mu: lam + mu + 1, lambda lam, mu: -2 * lam * mu),
-    "Q": _Closed(lambda lam, mu: mu - lam, None),
+    "b_pp": ((-1, 0, lambda lam, ls, mu, ms: _affine(-lam, -ls)), (0, 1, None)),
+    "b_pm": ((0, -1, lambda lam, ls, mu, ms: _affine(-mu, -ms)), (1, 0, None)),
+    "b_mp": ((0, -1, lambda lam, ls, mu, ms: _affine(mu, ms)),),
+    "b_mm": ((-1, 0, lambda lam, ls, mu, ms: _affine(lam, ls)),),
+    "H": (
+        (0, 0, lambda lam, ls, mu, ms: _affine(lam, ls) + _affine(mu, ms) + 1),
+        (-1, -1, lambda lam, ls, mu, ms: -2 * _affine(lam, ls) * _affine(mu, ms)),
+    ),
+    "Q": ((0, 0, lambda lam, ls, mu, ms: _affine(mu, ms) - _affine(lam, ls)),),
 }
 
 
 def closed_form(name: str, lam, mu) -> tuple:
-    """Action of H or Q on a bare monomial, as (coeff, lam', mu') triples.
+    """Action of an operator of _CLOSED on a bare monomial, as (coeff, lam', mu') triples.
 
-    The shape of ladder_closed_form; a zero coefficient is kept.
+    A zero coefficient is kept.  Serves as an independent oracle for
+    apply_2d on slope-free states.
     """
     lam = _as_fraction(lam)
     mu = _as_fraction(mu)
-    row = _CLOSED[name]
-    out = ((row.diagonal(lam, mu), lam, mu),)
-    return out + ((row.lowering(lam, mu), lam - 1, mu - 1),) if row.lowering else out
+    if name not in _CLOSED:
+        raise DomainError("no closed form for the 2d operator %r" % name)
+    return tuple(
+        (Fraction(1) if f is None else f(lam, 0, mu, 0), lam + dlam, mu + dmu)
+        for dlam, dmu, f in _CLOSED[name]
+    )
+
+
+def ladder_closed_form(which: str, lam, mu) -> tuple:
+    """closed_form of one b operator."""
+    if which not in _LADDER:
+        raise DomainError("unknown ladder operator %r" % which)
+    return closed_form(which, lam, mu)
+
+
+def _closed_image(row: tuple, s: State2D) -> State2D:
+    """op s term by term, for the operator op whose _CLOSED row is ``row``.
+
+    One multiply per term of a non-unit coefficient, none for a unit one;
+    a vanishing term is skipped.  The renorm marker is kept.
+    """
+    out: dict[tuple, EpsScalar] = {}
+    for key, c in s._terms.items():
+        lam, ls, mu, ms = key
+        for dlam, dmu, f in row:
+            shifted = (lam + dlam if dlam else lam, ls, mu + dmu if dmu else mu, ms)
+            if f is None:
+                _put(out, shifted, c)
+            elif v := f(*key):
+                _put(out, shifted, c * v)
+    return s._like(out)
+
+
+def ladder_image(which: str, s: State2D) -> State2D:
+    """b s for the ladder generator ``which``, by its row of _CLOSED.
+
+    The result equals apply_2d(build_op_2d(which), s), but its terms may be
+    stored in another order (apply_2d runs the derivative and the weight
+    as separate passes).  Stored order never reaches output: printed
+    states go through the sorted terms(), and the float sums that are
+    printed (sort keys of node energies and charges) come from single-term
+    coefficients.
+    """
+    if which not in _LADDER:
+        raise DomainError("unknown ladder operator %r" % which)
+    return _closed_image(_CLOSED[which], s)
 
 
 @functools.cache
 def _closed_names() -> dict:
-    """{operator: name} for the operators of _CLOSED, built on first use."""
-    return {build_op_2d(name): name for name in _CLOSED}
-
-
-def _closed_image(row: _Closed, s: State2D) -> State2D:
-    """op s term by term, for the operator op whose _CLOSED row is ``row``."""
-    out: dict[tuple, EpsScalar] = {}
-    for (lam, ls, mu, ms), c in s._terms.items():
-        lam_e = EpsScalar.affine(lam, ls) if ls else lam
-        mu_e = EpsScalar.affine(mu, ms) if ms else mu
-        _put(out, (lam, ls, mu, ms), c * row.diagonal(lam_e, mu_e))
-        if row.lowering:
-            _put(out, (lam - 1, ls, mu - 1, ms), c * row.lowering(lam_e, mu_e))
-    return s._like(out)
+    """{operator: name} for H and Q, built on first use."""
+    return {build_op_2d(name): name for name in ("H", "Q")}
 
 
 def _lowers_off(s: State2D) -> bool:
@@ -600,13 +554,14 @@ def eigencheck_2d(op: DiffOp2D, s: State2D):
     its stored terms are the same.  H is refused without a multiply when
     its lowering term leaves the keys of s (_lowers_off).
     """
-    name = _closed_names().get(op)
+    names = _closed_names()
+    # build_op_2d's own H and Q by identity first: hashing an operator is slow
+    name = next((n for known, n in names.items() if known is op), None) or names.get(op)
     if name is None:
         return _eigenvalue(apply_2d, op, s)
-    row = _CLOSED[name]
-    if row.lowering and _lowers_off(s):
+    if name == "H" and _lowers_off(s):
         return None
-    return _eigenvalue(_closed_image, row, s)
+    return _eigenvalue(_closed_image, _CLOSED[name], s)
 
 
 def states_proportional(a: State2D, b: State2D):

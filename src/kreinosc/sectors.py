@@ -34,7 +34,6 @@ from .algebra2d import (
     closed_form,
     eigencheck_2d,
     inner_2d,
-    ladder_closed_form,
     ladder_image,
     omega,
     psi0,
@@ -776,16 +775,16 @@ def identity_audit() -> tuple:
         verdict(id_, ", ".join(lhs), rhs_text, cases, corrected)
 
     def probe(checks):
-        # (label, operator, closed form) on each probe-grid monomial Om(lam, mu);
-        # a closed form gives the image as (coeff, lam', mu') terms
+        # (label, operator name) on each probe-grid monomial Om(lam, mu),
+        # against the image terms of its closed form
         return [
             (
                 label + "at (%s,%s): " % (lam, mu),
                 apply_2d(build_op_2d(name), omega(lam, mu))
-                - State2D([((lam2, 0, mu2, 0), c) for c, lam2, mu2 in closed(lam, mu)]),
+                - State2D([((lam2, 0, mu2, 0), c) for c, lam2, mu2 in closed_form(name, lam, mu)]),
             )
             for lam, mu in _PROBE_GRID
-            for label, name, closed in checks
+            for label, name in checks
         ]
 
     relations = _ladder_relations()
@@ -802,13 +801,13 @@ def identity_audit() -> tuple:
         ("charge-closed-action", "Q", "(mu-lam) Om(lam,mu)"),
     ):
         # a zero lowering coefficient drops out of the State2D when lam mu = 0
-        cases = probe([("", name, functools.partial(closed_form, name))])
+        cases = probe([("", name)])
         verdict(id_, "%s Om(lam,mu)" % name, rhs, cases)
     verdict(
         "ladder-closed-action",
         "b Om(lam,mu) for each ladder generator b",
         "the two-branch exponent-shift closed form",
-        probe([(g + " ", g, functools.partial(ladder_closed_form, g)) for g in GENERATOR_ORDER]),
+        probe([(g + " ", g) for g in GENERATOR_ORDER]),
     )
 
     # each line factorization, then the vacuum of its coupling

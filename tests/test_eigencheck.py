@@ -8,6 +8,7 @@ goes through ``apply_2d``.  The counters at the end pin that sector
 closure applies no operator at all.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kreinosc import DomainError, algebra2d, sectors
 from kreinosc.algebra1d import _eigenvalue
-from kreinosc.algebra2d import State2D, apply_2d, build_op_2d, eigencheck_2d, ladder_image
+from kreinosc.algebra2d import DiffOp2D, State2D, apply_2d, build_op_2d, eigencheck_2d, ladder_image
 from kreinosc.cli import _load_sector_source
 from kreinosc.opexpr import build_from_text
-from kreinosc.scalars import EpsScalar, GradedScalar
+from kreinosc.scalars import EpsScalar, GradedScalar, _TermMap
 from kreinosc.sectors import GENERATOR_ORDER, PRESET_NAMES, preset_sector
 
 PROPERTY = settings(
@@ -177,7 +178,35 @@ def test_the_key_test_refuses_before_any_image(monkeypatch, spec, depth, checks,
     energies = [v for op, v in values if op is H]
     assert (len(energies), energies.count(None)) == (checks, refused)
     assert sum("energy" in w for w in lattice.warnings) == refused
-    h_row = algebra2d._CLOSED["H"]
+    h_row, q_row = algebra2d._CLOSED["H"], algebra2d._CLOSED["Q"]
     assert sum(row is h_row for row, _ in built) == images
     # the seed's charge, and no more: every other charge is a ladder shift
-    assert [row for row, _ in built if row is not h_row] == [algebra2d._CLOSED["Q"]]
+    assert [row for row, _ in built if row is q_row] == [q_row]
+
+
+# closures that run 258 H and Q eigenchecks between them
+HASHED_CLOSURES = [("omega:1/2,9", 4), ("omega:7/2,-8", 4), ("psi0", 4)]
+
+
+def test_closure_hashes_each_operator_at_most_once(monkeypatch):
+    hashed = []
+    term_map_hash = _TermMap.__hash__
+
+    def counting_hash(self):
+        if isinstance(self, DiffOp2D):
+            hashed.append(id(self))
+        return term_map_hash(self)
+
+    monkeypatch.setattr(_TermMap, "__hash__", counting_hash)
+    for spec, depth in HASHED_CLOSURES:
+        assert _load_sector_source(spec, depth).node_count() > 1
+    assert max(Counter(hashed).values(), default=0) <= 1
+
+
+def test_expression_built_h_and_q_take_the_closed_path(monkeypatch):
+    # an operator equal to build_op_2d's own H or Q, but another object, is found by equality
+    monkeypatch.setattr(algebra2d, "apply_2d", lambda op, s: pytest.fail("applied %s" % op.text()))
+    vacuum = preset_sector("vacuum", 0).nodes[0].state
+    h, q = DiffOp2D(H._terms), build_from_text("Q + 0")[1]
+    assert h == H and h is not H and q == Q and q is not Q
+    assert eigencheck_2d(h, vacuum) == 1 and eigencheck_2d(q, vacuum) == 0
