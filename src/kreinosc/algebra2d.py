@@ -213,13 +213,24 @@ _FORMS = {
 }
 
 
-@functools.cache
+def _known(name, table: dict, message: str) -> str:
+    """name, if it is a str key of table; else DomainError(message % name).
+
+    The str test comes first, so an unhashable name is refused too.
+    """
+    if isinstance(name, str) and name in table:
+        return name
+    raise DomainError(message % (name,))
+
+
 def build_op_2d(name: str) -> DiffOp2D:
     """The named generator of the planar algebra, from its form in _FORMS."""
-    try:
-        return DiffOp2D(_FORMS[name])
-    except KeyError:
-        raise DomainError("unknown 2d operator %r" % name) from None
+    return _built_op_2d(_known(name, _FORMS, "unknown 2d operator %r"))
+
+
+@functools.cache
+def _built_op_2d(name: str) -> DiffOp2D:
+    return DiffOp2D(_FORMS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +331,7 @@ def closed_form(name: str, lam, mu) -> tuple:
     """
     lam = _as_fraction(lam)
     mu = _as_fraction(mu)
-    if name not in _CLOSED:
-        raise DomainError("no closed form for the 2d operator %r" % name)
+    _known(name, _CLOSED, "no closed form for the 2d operator %r")
     return tuple(
         (Fraction(1) if f is None else f(lam, 0, mu, 0), lam + dlam, mu + dmu)
         for dlam, dmu, f in _CLOSED[name]
@@ -330,9 +340,7 @@ def closed_form(name: str, lam, mu) -> tuple:
 
 def ladder_closed_form(which: str, lam, mu) -> tuple:
     """closed_form of one b operator."""
-    if which not in _LADDER:
-        raise DomainError("unknown ladder operator %r" % which)
-    return closed_form(which, lam, mu)
+    return closed_form(_known(which, _LADDER, "unknown ladder operator %r"), lam, mu)
 
 
 def _closed_image(row: tuple, s: State2D) -> State2D:
@@ -363,9 +371,7 @@ def ladder_image(which: str, s: State2D) -> State2D:
     printed (sort keys of node energies and charges) come from single-term
     coefficients.
     """
-    if which not in _LADDER:
-        raise DomainError("unknown ladder operator %r" % which)
-    return _closed_image(_CLOSED[which], s)
+    return _closed_image(_CLOSED[_known(which, _LADDER, "unknown ladder operator %r")], s)
 
 
 @functools.cache

@@ -44,6 +44,7 @@ from .errors import DomainError, LabError
 from .jsonio import (
     audit_to_json,
     dark_to_json,
+    dumps,
     frac_text,
     graded_to_json,
     gram_to_json,
@@ -83,7 +84,7 @@ def _frac_arg(text: str) -> Fraction:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(dumps(obj) + "\n")
 
 
 def _read_json(path: str):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from .algebra2d import (
     states_proportional,
 )
 from .errors import DepthExceeded, DomainError, NotConvergent, PoleError, UnsupportedFormat
-from .jsonio import eps_from_json, eps_to_json, state2d_from_json, state2d_to_json
+from .jsonio import dumps, eps_from_json, eps_to_json, state2d_from_json, state2d_to_json
 from .opexpr import build_from_text
 from .scalars import (
     GS_ZERO,
@@ -882,7 +881,7 @@ def lattice_export(lattice: SectorLattice, fmt: str) -> str:
             ],
             "warnings": list(lattice.warnings),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return dumps(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
