@@ -214,72 +214,46 @@ class DiffOp1D(_DiffOp):
 # ---------------------------------------------------------------------------
 
 
-def build_op_1d(name: str, alpha=None) -> DiffOp1D:
-    """Named generators of the half-line algebra.
+# The differential forms of the named line operators, as normal-ordered
+# term maps (power, dorder) -> coefficient.
+_FORMS_1D = {
+    "H1": {(0, 2): -_HALF, (2, 0): _HALF, (-2, 0): 1},  # -(1/2) D^2 + (1/2) x^2 + x^-2
+    # (1/2) D^2 -/+ x D + (1/2) x^2 - x^-2 -/+ 1/2
+    "A_plus": {(0, 2): _HALF, (1, 1): -1, (2, 0): _HALF, (-2, 0): -1, (0, 0): -_HALF},
+    "A_minus": {(0, 2): _HALF, (1, 1): 1, (2, 0): _HALF, (-2, 0): -1, (0, 0): _HALF},
+    "X": {(1, 0): 1},
+    "D": {(0, 1): 1},
+}
 
-    H1 is the oscillator with an inverse-square term, a_plus/a_minus a
-    one-parameter first-order factorization pair (parameter alpha
-    required), A_plus/A_minus the second-order ladder pair, X and D the
-    coordinate and derivative.
+# The first-order pair 2^(-1/2) (-/+D + x + alpha x^-1), by its sign of D.
+_FIRST_ORDER = {"a_plus": -1, "a_minus": 1}
+
+# The couplings at which the ladder family closes on H1, alpha -> (tag, c)
+# with a_plus(alpha) a_minus(alpha) = H1 + c: the singular vacuum x^-1 and
+# the regular vacuum x^2.  The rung energies and the audit's line rows read it.
+_COUPLINGS = {1: ("plus", Fraction(1, 2)), -2: ("minus", Fraction(-5, 2))}
+
+
+def _known(name, table: dict, message: str) -> str:
+    """name, if it is a str key of table; else DomainError(message % name).
+
+    The str test comes first, so an unhashable name is refused too.
     """
-    if name in ("a_plus", "a_minus"):
+    if isinstance(name, str) and name in table:
+        return name
+    raise DomainError(message % (name,))
+
+
+def build_op_1d(name: str, alpha=None) -> DiffOp1D:
+    """The named generator of the half-line algebra; only a_plus and a_minus take alpha."""
+    if isinstance(name, str) and name in _FIRST_ORDER:
         if alpha is None:
             raise MissingParameter("operator %s requires parameter alpha" % name)
-        alpha = _as_fraction(alpha)
-    elif alpha is not None:
-        raise DomainError("operator %s takes no parameter" % name)
-    inv_sqrt2 = GradedScalar.monomial(1, -1, 0)  # 2^(-1/2)
-    if name == "H1":
-        return DiffOp1D(
-            {
-                (Fraction(0), 2): GradedScalar.rational(Fraction(-1, 2)),
-                (Fraction(2), 0): GradedScalar.rational(_HALF),
-                (Fraction(-2), 0): GS_ONE,
-            }
-        )
-    if name == "a_plus":
-        return DiffOp1D(
-            {
-                (Fraction(0), 1): -inv_sqrt2,
-                (Fraction(1), 0): inv_sqrt2,
-                (Fraction(-1), 0): inv_sqrt2 * alpha,
-            }
-        )
-    if name == "a_minus":
-        return DiffOp1D(
-            {
-                (Fraction(0), 1): inv_sqrt2,
-                (Fraction(1), 0): inv_sqrt2,
-                (Fraction(-1), 0): inv_sqrt2 * alpha,
-            }
-        )
-    if name == "A_plus":
-        # (1/2) D^2 - x D + (1/2) x^2 - x^-2 - 1/2
-        return DiffOp1D(
-            {
-                (Fraction(0), 2): GradedScalar.rational(_HALF),
-                (Fraction(1), 1): GradedScalar.rational(-1),
-                (Fraction(2), 0): GradedScalar.rational(_HALF),
-                (Fraction(-2), 0): GradedScalar.rational(-1),
-                (Fraction(0), 0): GradedScalar.rational(-_HALF),
-            }
-        )
-    if name == "A_minus":
-        # (1/2) D^2 + x D + (1/2) x^2 - x^-2 + 1/2
-        return DiffOp1D(
-            {
-                (Fraction(0), 2): GradedScalar.rational(_HALF),
-                (Fraction(1), 1): GS_ONE,
-                (Fraction(2), 0): GradedScalar.rational(_HALF),
-                (Fraction(-2), 0): GradedScalar.rational(-1),
-                (Fraction(0), 0): GradedScalar.rational(_HALF),
-            }
-        )
-    if name == "X":
-        return DiffOp1D({(Fraction(1), 0): GS_ONE})
-    if name == "D":
-        return DiffOp1D({(Fraction(0), 1): GS_ONE})
-    raise DomainError("unknown 1d operator %r" % name)
+        form = {(0, 1): _FIRST_ORDER[name], (1, 0): 1, (-1, 0): _as_fraction(alpha)}
+        return DiffOp1D(form).scaled(GradedScalar.monomial(1, -1, 0))  # times 2^(-1/2)
+    if alpha is not None:
+        raise DomainError("operator %s takes no parameter" % (name,))
+    return DiffOp1D(_FORMS_1D[_known(name, _FORMS_1D, "unknown 1d operator %r")])
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +352,17 @@ def solve_vacuum_1d(alpha) -> State1D:
 def ladder_states_1d(alpha, count: int) -> list:
     """(state, energy) of the raising-ladder rungs n = 0 .. count-1.
 
-    Each rung is raised from the one before.  Only alpha in {-2, 1}
-    closes the ladder on H1; the energy is 1/2 - alpha + 2n.  alpha, then
-    the depth limit, are checked before any rung is built (the error
-    names index limit + 1); count <= 0 gives [] for any alpha.
+    Each rung is raised from the one before.  Only an alpha of _COUPLINGS
+    closes the ladder on H1; the energy is 2n - c.  alpha, then the depth
+    limit, are checked before any rung is built (the error names index
+    limit + 1); count <= 0 gives [] for any alpha.
     """
     if count <= 0:
         return []
     alpha = _as_fraction(alpha)
-    if alpha not in (Fraction(-2), Fraction(1)):
-        raise DomainError("ladder family requires alpha -2 or 1, got %s" % alpha)
+    if alpha not in _COUPLINGS:
+        couplings = " or ".join(map(str, sorted(_COUPLINGS)))
+        raise DomainError("ladder family requires alpha %s, got %s" % (couplings, alpha))
     limit = depth_limit()
     if count - 1 > limit:
         raise DepthExceeded("ladder index %d exceeds depth limit %d" % (limit + 1, limit))
@@ -397,7 +372,7 @@ def ladder_states_1d(alpha, count: int) -> list:
     for n in range(count):
         if n:
             state = apply_1d(raise_op, state)
-        energy = Fraction(1, 2) - alpha + 2 * n
+        energy = 2 * n - _COUPLINGS[alpha][1]
         rungs.append((state.with_label("ladder(alpha=%s,n=%d)" % (alpha, n)), energy))
     return rungs
 

@@ -38,6 +38,7 @@ from .algebra1d import (
     _compose,
     _DiffOp,
     _eigenvalue,
+    _known,
     _ratio,
 )
 from .errors import DomainError, NotConvergent, PoleError
@@ -211,16 +212,6 @@ _FORMS = {
     "DZ": {(0, 0, 0, 1): 1},
     "DZBAR": {(0, 0, 1, 0): 1},
 }
-
-
-def _known(name, table: dict, message: str) -> str:
-    """name, if it is a str key of table; else DomainError(message % name).
-
-    The str test comes first, so an unhashable name is refused too.
-    """
-    if isinstance(name, str) and name in table:
-        return name
-    raise DomainError(message % (name,))
 
 
 def build_op_2d(name: str) -> DiffOp2D:

@@ -88,7 +88,7 @@ def eps_from_json(data) -> EpsScalar:
         if not isinstance(item, dict) or set(item) != {"power", "coeff"}:
             raise DomainError("eps polynomial term must have keys power, coeff")
         p = item["power"]
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise DomainError("eps power must be an integer")
         if p < 0:
             raise DomainError("eps power must be non-negative")
@@ -189,7 +189,7 @@ def state2d_from_json(data):
             raise DomainError(
                 "planar state term must have keys lam, lam_slope, mu, mu_slope, coeff"
             )
-        if not isinstance(item["lam_slope"], int) or not isinstance(item["mu_slope"], int):
+        if type(item["lam_slope"]) is not int or type(item["mu_slope"]) is not int:
             raise DomainError("eps slopes must be integers")
         mono = Monomial2D(
             frac_from_text(item["lam"]),

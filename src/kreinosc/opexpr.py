@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra1d import DiffOp1D, build_op_1d
+from .algebra1d import DiffOp1D, _FIRST_ORDER, build_op_1d
 from .algebra2d import DiffOp2D, _LADDER, build_op_2d
 from .errors import ArityError, DepthExceeded, DomainError, OpSyntaxError, UnknownNameError
 
@@ -66,7 +66,7 @@ NAMES_1D = {
     "D": "D",
 }
 
-ALPHA_NAMES = ("a+", "a-")
+ALPHA_NAMES = tuple(n for n, op in NAMES_1D.items() if op in _FIRST_ORDER)
 
 # longest first so the tokenizer never splits a long name
 _ALL_NAMES = sorted(list(NAMES_2D) + list(NAMES_1D), key=len, reverse=True)

@@ -65,7 +65,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return _rational_text(x)
+        try:
+            return _rational_text(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError("expected a rational, got %r" % (x,))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra1d import apply_1d, build_op_1d, solve_vacuum_1d
+from .algebra1d import _COUPLINGS, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import (
     State2D,
     _LADDER,
@@ -726,10 +726,22 @@ def _ladder_relations() -> tuple:
     return tuple(rows)
 
 
+def _line_relations() -> tuple:
+    """The line factorization rows of _RELATIONS, written from _COUPLINGS."""
+    return tuple(
+        (
+            "line-factorization-alpha-%s" % tag,
+            (("a+@%s a-@%s" % (a, a), "H1 %s %s" % ("-+"[c > 0], abs(c))),),
+        )
+        for a, (tag, c) in _COUPLINGS.items()
+    )
+
+
 # The operator relations the audit checks, in verdict order: (id, the
 # (lhs, rhs) pairs in the expression language, the corrected form of a
 # relation that fails).  Each pair is checked by building lhs - (rhs).
-# The first five restate _LADDER; identity_audit writes them afresh.
+# The first five restate _LADDER and the last two _COUPLINGS;
+# identity_audit writes those afresh.
 _RELATIONS = _ladder_relations() + (
     ("charge-hamiltonian-commute", (("[Q, H]", "0"),)),
     (
@@ -738,10 +750,7 @@ _RELATIONS = _ladder_relations() + (
         "b++ b-+ + b+- b-- + 1",
     ),
     ("charge-bilinear-form", (("Q", "1/2 (b++ b-+ - b+- b--)"),), "b++ b-+ - b+- b--"),
-    # the line algebra factorizations at the two distinguished couplings
-    ("line-factorization-alpha-plus", (("a+@1 a-@1", "H1 + 1/2"),)),
-    ("line-factorization-alpha-minus", (("a+@-2 a-@-2", "H1 - 5/2"),)),
-)
+) + _line_relations()
 
 
 def identity_audit() -> tuple:
@@ -786,9 +795,8 @@ def identity_audit() -> tuple:
             for label, name in checks
         ]
 
-    relations = _ladder_relations()
-    relations += _RELATIONS[len(relations) :]
-    for rel in relations[:8]:  # the planar ones
+    ladder, line = _ladder_relations(), _line_relations()
+    for rel in ladder + _RELATIONS[len(ladder) : -len(line)]:  # the planar ones
         relation(*rel)
     for tag, g in _raising().items():
         c = _LADDER[g].conj
@@ -810,8 +818,7 @@ def identity_audit() -> tuple:
     )
 
     # each line factorization, then the vacuum of its coupling
-    line_couplings = ((Fraction(1), "plus"), (Fraction(-2), "minus"))
-    for rel, (alpha, tag) in zip(relations[8:], line_couplings):
+    for rel, (alpha, (tag, _c)) in zip(line, _COUPLINGS.items()):
         relation(*rel)
         cases = [("", apply_1d(build_op_1d("a_minus", alpha), solve_vacuum_1d(alpha)))]
         lhs = "a-@%s vacuum(alpha=%s)" % (alpha, alpha)
