@@ -32,6 +32,7 @@ from .scalars import (
     GS_ONE,
     GS_ZERO,
     GradedScalar,
+    _as_count,
     _as_fraction,
     _check_half_integer,
     _coerce_scalar,
@@ -379,8 +380,7 @@ def ladder_states_1d(alpha, count: int) -> list:
 
 def ladder_state_1d(alpha, n: int) -> tuple[State1D, Fraction]:
     """The n-th rung of ladder_states_1d; n is capped by the depth limit."""
-    n = int(n)
-    if n < 0:
+    if _as_count(n, "n") < 0:
         raise DomainError("ladder index must be non-negative")
     return ladder_states_1d(alpha, n + 1)[-1]
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra1d import DiffOp1D, State1D, _ratio, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import State2D, apply_2d, build_op_2d, compose_2d, omega
 from .errors import ChargeAbsent, DomainError
-from .scalars import EpsScalar, GradedScalar, _as_fraction, _HALF
+from .scalars import EpsScalar, GradedScalar, _as_count, _as_fraction, _HALF
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def bridge_audit(n_max: int = 4) -> dict:
     with b_mp b_mm matching (1/2) A_minus per application.  Also checks
     that the paired second-order maps are order-insensitive.
     """
-    n_max = int(n_max)
-    if n_max < 0 or n_max > 10:
+    if _as_count(n_max, "n_max") < 0 or n_max > 10:
         raise DomainError("n_max must be between 0 and 10")
     checks = []
 

@@ -62,7 +62,7 @@ def _rational_text(s) -> Fraction:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -70,6 +70,13 @@ def _as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise DomainError("expected a rational, got %r" % (x,))
+
+
+def _as_count(n, name: str) -> int:
+    """n when it is an int (not a bool); DomainError naming the parameter otherwise."""
+    if type(n) is bool or not isinstance(n, int):
+        raise DomainError("%s must be an integer, got %r" % (name, n))
+    return n
 
 
 def _put(out: dict, key, c) -> None:

@@ -46,13 +46,13 @@ from .scalars import (
     GS_ZERO,
     EpsScalar,
     GradedScalar,
+    _as_count,
     _as_fraction,
     _HALF,
     scalar_sign,
 )
 
 GENERATOR_ORDER = tuple(_LADDER)
-_GEN_RANK = {g: i for i, g in enumerate(GENERATOR_ORDER)}
 
 MAX_DEPTH = 16
 MAX_DARK_DEGREE = 6
@@ -66,7 +66,7 @@ MAX_SECTOR_NODES = 1000
 # Work budget of one dark scan: the word images plus the pair evaluations
 # that charge reachability predicts before any image is built (see
 # dark_check).  The largest scans in use, vacuum@3 x vacuum@3 at degree 4
-# and 5, predict 2774 and 6490; a unit costs 0.03-0.2 ms, so an accepted
+# and 5, predict 2722 and 6162; a unit costs 0.03-0.2 ms, so an accepted
 # scan ends within about 3 s.
 MAX_DARK_WORK = 12_000
 
@@ -167,9 +167,7 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     ``depth`` must be an int (not a bool), ``generators`` a collection
     of generator names (not one bare name); DomainError otherwise.
     """
-    if type(depth) is bool or not isinstance(depth, int):
-        raise DomainError("depth must be an integer, got %r" % (depth,))
-    if depth < 0 or depth > MAX_DEPTH:
+    if _as_count(depth, "depth") < 0 or depth > MAX_DEPTH:
         raise DomainError("depth must be between 0 and %d" % MAX_DEPTH)
     if (
         isinstance(generators, str)
@@ -498,30 +496,34 @@ def _ladder_algebra() -> tuple:
     return _ladder_shifts("Q"), commuting
 
 
-def _normal_form(word, commuting) -> tuple:
-    """The lexicographically least word equal to ``word`` under commuting swaps.
+def _operator_key(word) -> tuple:
+    """Equal for two words exactly when they are one operator, read from _LADDER.
 
-    Greedy: the next letter is the least one that commutes with every
-    letter before it.
+    Each raising b acts as x and its conjugate c ([c, b] = 1) as d/dx, and
+    the pairs commute: with h = #b - #c so far in application order, a word
+    sends x^n to x^(n + final h) times the product of (n + h) at its c letters.
     """
-    rest = list(word)
-    out = []
-    while rest:
-        movable = [k for k, g in enumerate(rest) if all((h, g) in commuting for h in rest[:k])]
-        out.append(rest.pop(min(movable, key=lambda k: _GEN_RANK[rest[k]])))
-    return tuple(out)
+    key = []
+    for b, c in ((b, row.conj) for b, row in _LADDER.items() if row.conj):
+        h, at = 0, []
+        for g in word:
+            if g == c:
+                at.append(h)
+            h += (g == b) - (g == c)
+        key.append((h, tuple(sorted(at))))
+    return tuple(key)
 
 
 @functools.cache
 def _scan_words(max_degree: int) -> tuple:
-    """(word, its normal form, its charge shift) for every word up to max_degree.
+    """(word, the first word of its operator class, its charge shift) up to max_degree.
 
-    Words come in scan order: by degree, then lexicographically in
-    GENERATOR_ORDER, so a normal form precedes the rest of its class.
+    Words come in scan order (by degree, then lexicographically in
+    GENERATOR_ORDER), so every prefix of a first word is a first word.
     """
-    shifts, commuting = _ladder_algebra()
+    shifts, first = _ladder_shifts("Q"), {}
     return tuple(
-        (word, _normal_form(word, commuting), sum(shifts[g] for g in word))
+        (word, first.setdefault(_operator_key(word), word), sum(shifts[g] for g in word))
         for degree in range(max_degree + 1)
         for word in product(GENERATOR_ORDER, repeat=degree)
     )
@@ -552,19 +554,16 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
       and some charge (c', s) of sector a leave t = c' - c - sigma(w) an
       integer with |t| <= max_degree - d, and then only when a pairing
       needs it (t = 0 for w or for an extension of w).
-    * Commutation classes.  Every pair of generators but a raising one
-      and its conjugate in _LADDER commutes, so words that differ by
-      swapping such neighbours are one operator.  Only the
-      lexicographically least word of each class is extended and
-      evaluated; the others repeat its pairs and entries under their own
-      text.
+    * Operator classes.  Words with one _operator_key are one operator;
+      only the first of each class in scan order is extended and
+      evaluated, and the others repeat its pairs and entries under their
+      own text.
 
     Before any image is built, the images and pair evaluations that the
     reachability rule predicts are counted; a scan above MAX_DARK_WORK
     raises DepthExceeded.
     """
-    max_degree = int(max_degree)
-    if max_degree < 0 or max_degree > MAX_DARK_DEGREE:
+    if _as_count(max_degree, "max_degree") < 0 or max_degree > MAX_DARK_DEGREE:
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
     states_a = [n.state for n in a.nodes]
     states_b = [n.state for n in b.nodes]
@@ -586,7 +585,7 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     reach = [set().union(*(row[j] for row in offsets)) for j in range(len(states_b))]
 
     words = _scan_words(max_degree)
-    # (degree, shift) -> number of normal forms
+    # (degree, shift) -> number of operator classes
     classes = Counter((len(word), shift) for word, canon, shift in words if word == canon)
     hits = Counter(t for row in offsets for cell in row for t in cell)
     n_images = n_evaluations = 0
@@ -605,8 +604,7 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     built = {((), j): s for j, s in enumerate(states_b)}
 
     def image(word, j):
-        # extend the longest prefix already built; prefixes of a normal
-        # form are normal forms
+        # extend the longest prefix already built; prefixes of first words are first words
         k = len(word)
         while (word[:k], j) not in built:
             k -= 1
@@ -615,11 +613,11 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
             img = built[word[: m + 1], j] = ladder_image(word[m], img)
         return img
 
-    found = {}  # normal form -> (pairs checked, [(node a, node b, value, note)])
+    found = {}  # first word of a class -> (pairs checked, [(node a, node b, value, note)])
     entries = []
     pairs = 0
     for word, canon, shift in words:
-        if canon not in found:  # the first word of its class is its normal form
+        if canon not in found:  # word is the first of its class
             images = {j: image(word, j) for j, r in enumerate(reach) if shift in r}
             image_charges = {
                 j: frozenset(img.charges()) for j, img in images.items() if not img.is_zero()
@@ -844,7 +842,7 @@ def _sorted_nodes(lattice: SectorLattice):
 
 
 def _sorted_edges(lattice: SectorLattice):
-    return sorted(lattice.edges, key=lambda e: (e.src, e.dst, _GEN_RANK[e.generator]))
+    return sorted(lattice.edges, key=lambda e: (e.src, e.dst, GENERATOR_ORDER.index(e.generator)))
 
 
 def lattice_export(lattice: SectorLattice, fmt: str) -> str:

@@ -367,7 +367,7 @@ def test_dark_scan_above_the_work_budget_fails_fast(capsys):
     doc = run_error(capsys, "dark", "--a", "vacuum", "--b", "vacuum",
                     "--depth", "6", "--degree", "5")
     assert doc["error"] == "depth-exceeded"
-    assert doc["message"].startswith("dark scan predicts 8404 word images and 20472 pair")
+    assert doc["message"].startswith("dark scan predicts 8024 word images and 19512 pair")
     # the degree bound is checked first
     doc = run_error(capsys, "dark", "--a", "vacuum", "--b", "vacuum",
                     "--depth", "16", "--degree", "7")

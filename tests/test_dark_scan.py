@@ -148,22 +148,29 @@ def test_normal_forms_are_the_operator_classes():
         for g, h in (pair, pair[::-1])
     }
 
-    def operator(word):
-        out = DiffOp2D.identity()
-        for g in word:
-            out = compose_2d(ops[g], out)
-        return out
+    # the operator of each word up to degree 5, the first letter applied first
+    operator = {(): DiffOp2D.identity()}
+    for d in range(1, 6):
+        for w in product(GENERATOR_ORDER, repeat=d):
+            operator[w] = compose_2d(ops[w[-1]], operator[w[:-1]])
+    key_of = {}  # operator -> the key of the first word found with it
+    for w, op in operator.items():
+        # one key per operator here, and one operator per key below
+        assert key_of.setdefault(op, sectors._operator_key(w)) == sectors._operator_key(w)
+    assert len(set(key_of.values())) == len(key_of)
+    counts = [len({op for w, op in operator.items() if len(w) <= d}) for d in (2, 3, 4, 5)]
+    assert counts == [17, 49, 127, 307]
 
-    words = [w for d in range(5) for w in product(GENERATOR_ORDER, repeat=d)]
-    forms = {}
-    for w in words:
-        canon = sectors._normal_form(w, commuting)
-        assert sorted(canon) == sorted(w)
-        assert [sectors._GEN_RANK[g] for g in canon] <= [sectors._GEN_RANK[g] for g in w]
-        assert sectors._normal_form(canon, commuting) == canon
-        forms.setdefault(canon, operator(canon))
-        assert operator(w) == forms[canon]
-    assert len(forms) == 129
+    # the scan evaluates the first word of each class in scan order, and
+    # every prefix of a first word is a first word
+    table = sectors._scan_words(5)
+    assert [w for w, _, _ in table] == list(operator)
+    first = {}
+    for w, canon, _ in table:
+        assert canon == first.setdefault(operator[w], w)
+    firsts = set(first.values())
+    assert all(canon[:k] in firsts for canon in firsts for k in range(len(canon)))
+    assert len(firsts) == 307
 
 
 def test_scan_budget_is_checked_before_any_image(monkeypatch):
@@ -177,3 +184,18 @@ def test_scan_budget_is_checked_before_any_image(monkeypatch):
     assert calls == []
     with pytest.raises(DomainError):
         dark_check(vacuum, vacuum, MAX_DARK_DEGREE + 1)
+
+
+@pytest.mark.parametrize("depth, degree, calls, pairs", [(3, 4, 1088, 2798), (2, 6, 1674, 12580)])
+def test_each_operator_class_is_evaluated_once(monkeypatch, depth, degree, calls, pairs):
+    made = []
+
+    def counting_inner(f, g):
+        made.append(g)
+        return renorm_inner(f, g)
+
+    vacuum = preset_sector("vacuum", depth)
+    monkeypatch.setattr(sectors, "renorm_inner", counting_inner)
+    report = dark_check(vacuum, vacuum, degree)
+    assert len(made) == calls
+    assert report.pairs_checked == pairs

@@ -190,7 +190,7 @@ def test_dark_scans_build_the_predicted_images(image_calls):
     assert len(image_calls) == 38
     image_calls.clear()
     report = dark_check(vacuum, vacuum, 4)
-    assert len(image_calls) == 1124
+    assert len(image_calls) == 1102
     assert report.pairs_checked == 2798
 
 
