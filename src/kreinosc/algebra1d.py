@@ -21,6 +21,7 @@ Everything is immutable and all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -87,15 +88,18 @@ def _ratio(a: _TermMap, b: _TermMap):
     return num, den
 
 
+def _quotient(a: _TermMap, b: _TermMap):
+    """The q of a's coefficient ring with a = q b, for nonzero term maps, or None."""
+    ratio = _ratio(a, b)
+    return None if ratio is None else ratio[0].try_div(ratio[1])
+
+
 def _eigenvalue(apply, op, s):
     """Exact multiplier of s under apply(op, s) in s's coefficient ring, or None."""
     if not s:
         raise DomainError("eigencheck requires a nonzero state")
     image = apply(op, s)
-    if not image:
-        return s._coeff(0)
-    ratio = _ratio(image, s)
-    return None if ratio is None else ratio[0].try_div(ratio[1])
+    return _quotient(image, s) if image else s._coeff(0)
 
 
 def _falling(p: Fraction, j: int) -> Fraction:
@@ -254,7 +258,12 @@ def build_op_1d(name: str, alpha=None) -> DiffOp1D:
         return DiffOp1D(form).scaled(GradedScalar.monomial(1, -1, 0))  # times 2^(-1/2)
     if alpha is not None:
         raise DomainError("operator %s takes no parameter" % (name,))
-    return DiffOp1D(_FORMS_1D[_known(name, _FORMS_1D, "unknown 1d operator %r")])
+    return _built_op_1d(_known(name, _FORMS_1D, "unknown 1d operator %r"))
+
+
+@functools.cache
+def _built_op_1d(name: str) -> DiffOp1D:
+    return DiffOp1D(_FORMS_1D[name])
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +445,24 @@ class Divergence:
     order: Fraction | None = None
 
 
-DIV_NONE = Divergence("none")
-DIV_LOG = Divergence("log")
+def _divergence(t: Fraction) -> tuple[bool, Divergence]:
+    """(localized, class) of a small-distance integral int_eps that scales like eps^t.
+
+    It diverges as a power of order -t when t < 0 and logarithmically at
+    t = 0; any divergence marks the state as localized (the density ratio
+    concentrates at the origin).
+    """
+    if t < 0:
+        return True, Divergence("power", -t)
+    return t == 0, Divergence("log" if t == 0 else "none")
 
 
 def localization_1d(s: State1D) -> tuple[bool, Divergence]:
     """Divergence class of int_eps |s|^2 near the origin.
 
     With e_min the smallest exponent, the density behaves like
-    x^(2 e_min): the integral diverges as a power of order -(2 e_min + 1)
-    when 2 e_min < -1, logarithmically at the boundary 2 e_min = -1, and
-    converges otherwise.  Any divergence marks the state as localized
-    (the density ratio concentrates at the origin).
+    x^(2 e_min), so its integral like x^(2 e_min + 1); see _divergence.
     """
     if not s:
         raise DomainError("localization of the zero state is undefined")
-    e_min = s.min_exponent()
-    t = 2 * e_min
-    if t < -1:
-        return True, Divergence("power", -(t + 1))
-    if t == -1:
-        return True, DIV_LOG
-    return False, DIV_NONE
+    return _divergence(2 * s.min_exponent() + 1)

@@ -31,16 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra1d import (
-    DIV_LOG,
-    DIV_NONE,
-    Divergence,
-    _compose,
-    _DiffOp,
-    _eigenvalue,
-    _known,
-    _ratio,
-)
+from .algebra1d import Divergence, _compose, _DiffOp, _divergence, _eigenvalue, _known, _ratio
 from .errors import DomainError, NotConvergent, PoleError
 from .scalars import (
     GS_PI,
@@ -48,6 +39,7 @@ from .scalars import (
     EpsScalar,
     GradedScalar,
     LaurentValue,
+    _as_count,
     _as_fraction,
     _check_half_integer,
     _coerce_scalar,
@@ -61,8 +53,7 @@ from .scalars import (
 
 
 def _check_slope(s) -> int:
-    s = int(s)
-    if s not in (0, 1):
+    if _as_count(s, "eps slope") not in (0, 1):
         raise DomainError("eps slopes are restricted to 0 or 1, got %s" % s)
     return s
 
@@ -588,18 +579,11 @@ def localization_2d(s: State2D) -> tuple[bool, Divergence]:
     """Divergence class of the small-disc integral of |s|^2.
 
     For a slope-free state with t_min the smallest lam + mu, the radial
-    density carries r^(2 t_min + 1): the integral diverges as a power of
-    order -(2 t_min + 2) when 2 t_min + 2 < 0 and logarithmically at the
-    boundary 2 t_min + 2 = 0.
+    density carries r^(2 t_min + 1), so its integral r^(2 t_min + 2); see
+    _divergence.
     """
     if not s:
         raise DomainError("localization of the zero state is undefined")
     if s.has_slopes():
         raise DomainError("localization applies to slope-free states")
-    t_min = min(lam + mu for (lam, _ls, mu, _ms) in s._terms)
-    t = 2 * t_min + 2
-    if t < 0:
-        return True, Divergence("power", -t)
-    if t == 0:
-        return True, DIV_LOG
-    return False, DIV_NONE
+    return _divergence(2 * min(lam + mu for (lam, _ls, mu, _ms) in s._terms) + 2)

@@ -97,34 +97,31 @@ def _read_json(path: str):
         raise DomainError("%s is not valid JSON: %s" % (path, exc))
 
 
+# The state forms with rational exponents: name -> (exponent count, constructor).
+_EXPONENT_FORMS = {
+    "omega": (2, omega),
+    "eps": (1, lambda lam: omega(lam, 0, lam_slope=1).with_renorm(_HALF)),
+    "eps-conj": (1, lambda mu: omega(0, mu, mu_slope=1).with_renorm(_HALF)),
+}
+
+
 def load_state_spec(spec: str):
     """Resolve a state argument; see the module docstring for the forms."""
+    name, colon, body = spec.partition(":")
     if spec == "psi0":
         return psi0()
-    if spec.startswith("omega:"):
-        body = spec[len("omega:") :]
-        parts = body.split(",")
-        if len(parts) != 2:
+    if colon and name in _EXPONENT_FORMS:
+        count, build = _EXPONENT_FORMS[name]
+        parts = body.split(",") if count > 1 else [body]
+        if len(parts) != count:  # only omega takes more than one
             raise DomainError("omega: takes two comma-separated rationals")
         try:
-            lam, mu = _rational_text(parts[0]), _rational_text(parts[1])
+            exponents = [_rational_text(part) for part in parts]
         except (ValueError, ZeroDivisionError):
             raise DomainError("malformed exponent in %r" % spec)
-        return omega(lam, mu)
-    if spec.startswith("eps:"):
-        try:
-            lam = _rational_text(spec[len("eps:") :])
-        except (ValueError, ZeroDivisionError):
-            raise DomainError("malformed exponent in %r" % spec)
-        return omega(lam, 0, lam_slope=1).with_renorm(_HALF)
-    if spec.startswith("eps-conj:"):
-        try:
-            mu = _rational_text(spec[len("eps-conj:") :])
-        except (ValueError, ZeroDivisionError):
-            raise DomainError("malformed exponent in %r" % spec)
-        return omega(0, mu, mu_slope=1).with_renorm(_HALF)
-    if spec.startswith("file:"):
-        return state_from_json(_read_json(spec[len("file:") :]))
+        return build(*exponents)
+    if colon and name == "file":
+        return state_from_json(_read_json(body))
     raise DomainError(
         "unrecognized state %r; use psi0, omega:L,M, eps:L, eps-conj:M, or file:PATH"
         % spec
@@ -190,16 +187,6 @@ def _load_sector_source(spec: str, depth: int):
     return generate_sector(load_state_spec(spec), _default_generators(spec), depth, seed_text=spec)
 
 
-def _divergence_json(localized: bool, div) -> dict:
-    return {
-        "localized": localized,
-        "divergence": {
-            "kind": div.kind,
-            "order": None if div.order is None else frac_text(div.order),
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -244,7 +231,8 @@ def _cmd_inner(args) -> None:
         raise DomainError("cannot pair a line state with a planar state")
     if args.renorm:
         v = renorm_inner(f, g)
-        _emit({"space": "2d", "renormalized": True, "value": v.text(), "value_exact": graded_to_json(v)})
+        exact = graded_to_json(v)
+        _emit({"space": "2d", "renormalized": True, "value": v.text(), "value_exact": exact})
         return
     value = inner_2d(f, g)
     _emit(
@@ -279,27 +267,17 @@ def _cmd_dark(args) -> None:
 def _cmd_localize(args) -> None:
     s = load_state_spec(args.state)
     if isinstance(s, State1D):
-        localized, div = localization_1d(s)
-        out = {"space": "1d"}
-        out.update(_divergence_json(localized, div))
-        _emit(out)
-        return
-    if s.has_slopes():
-        limit = s.limit_eps0()
-        out = {
-            "space": "2d",
-            "deformed": True,
-            "limit_class": classify_limit(s),
-            "limit": state2d_to_json(limit),
-        }
-        if not limit.is_zero():
-            localized, div = localization_2d(limit)
-            out.update(_divergence_json(localized, div))
-        _emit(out)
-        return
-    localized, div = localization_2d(s)
-    out = {"space": "2d", "deformed": False}
-    out.update(_divergence_json(localized, div))
+        out, localization = {"space": "1d"}, localization_1d
+    else:
+        out, localization = {"space": "2d", "deformed": s.has_slopes()}, localization_2d
+    if out.get("deformed"):
+        out["limit_class"] = classify_limit(s)
+        s = s.limit_eps0()
+        out["limit"] = state2d_to_json(s)
+    if s or not out.get("deformed"):  # a deformed state whose limit vanishes has no class
+        out["localized"], div = localization(s)
+        order = None if div.order is None else frac_text(div.order)
+        out["divergence"] = {"kind": div.kind, "order": order}
     _emit(out)
 
 
@@ -406,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dark", help="scan two sectors for interaction elements")
     p.add_argument("--a", required=True, help="preset, seed spec, or file:PATH")
     p.add_argument("--b", required=True, help="preset, seed spec, or file:PATH")
-    p.add_argument("--degree", type=int, default=4, help="interaction monomial degree cap (default 4)")
-    p.add_argument("--depth", type=int, default=4, help="closure depth for built sectors (default 4)")
+    p.add_argument(
+        "--degree", type=int, default=4, help="interaction monomial degree cap (default 4)"
+    )
+    p.add_argument(
+        "--depth", type=int, default=4, help="closure depth for built sectors (default 4)"
+    )
     p.set_defaults(func=_cmd_dark)
 
     p = subs.add_parser("localize", help="near-origin divergence class of a state")

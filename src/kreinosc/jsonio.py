@@ -8,6 +8,7 @@ ever approximated by a float, except the explicitly numeric fields.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -71,7 +72,9 @@ def graded_from_json(data) -> GradedScalar:
         if type(j) is not int or type(k) is not int:
             raise DomainError("graded scalar grades j, k must be integers")
         if abs(j) > MAX_GRADE or abs(k) > MAX_GRADE:
-            raise DomainError("graded scalar grade (%d, %d) exceeds the bound %d" % (j, k, MAX_GRADE))
+            raise DomainError(
+                "graded scalar grade (%d, %d) exceeds the bound %d" % (j, k, MAX_GRADE)
+            )
         out = out + GradedScalar.monomial(frac_from_text(item["q"]), j, k)
     return out
 
@@ -231,20 +234,9 @@ def state_from_json(data):
 # ---------------------------------------------------------------------------
 
 
-def verdict_to_json(v) -> dict:
-    return {
-        "identity_id": v.identity_id,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "status": v.status,
-        "residual": v.residual,
-        "corrected_form": v.corrected_form,
-    }
-
-
 def audit_to_json(verdicts) -> dict:
     return {
-        "identities": [verdict_to_json(v) for v in verdicts],
+        "identities": [dataclasses.asdict(v) for v in verdicts],
         "passed": sum(1 for v in verdicts if v.holds),
         "failed": sum(1 for v in verdicts if not v.holds),
         "failed_ids": [v.identity_id for v in verdicts if not v.holds],

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra1d import DiffOp1D, State1D, _ratio, apply_1d, build_op_1d, solve_vacuum_1d
+from .algebra1d import DiffOp1D, State1D, _quotient, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import State2D, apply_2d, build_op_2d, compose_2d, omega
 from .errors import ChargeAbsent, DomainError
 from .scalars import EpsScalar, GradedScalar, _as_count, _as_fraction, _HALF
@@ -73,14 +73,7 @@ def radial_reduce(s: State2D, q) -> State1D:
 def radial_hamiltonian(q) -> DiffOp1D:
     """(1/2)(-D^2 + r^2 + (q^2 - 1/4) r^(-2)) acting on line states."""
     q = _as_fraction(q)
-    g = q * q - Fraction(1, 4)
-    terms = {
-        (Fraction(0), 2): GradedScalar.rational(Fraction(-1, 2)),
-        (Fraction(2), 0): GradedScalar.rational(Fraction(1, 2)),
-    }
-    if g:
-        terms[(Fraction(-2), 0)] = GradedScalar.rational(g / 2)
-    return DiffOp1D(terms)
+    return DiffOp1D({(0, 2): -_HALF, (2, 0): _HALF, (-2, 0): (q * q - Fraction(1, 4)) / 2})
 
 
 def bridge_audit(n_max: int = 4) -> dict:
@@ -97,27 +90,16 @@ def bridge_audit(n_max: int = 4) -> dict:
         raise DomainError("n_max must be between 0 and 10")
     checks = []
 
-    b_pp = build_op_2d("b_pp")
-    b_pm = build_op_2d("b_pm")
-    b_mp = build_op_2d("b_mp")
-    b_mm = build_op_2d("b_mm")
+    def check(id_, ok, **detail):
+        checks.append({"id": id_, "ok": ok, **detail})
+
+    b_pp, b_pm, b_mp, b_mm = map(build_op_2d, ("b_pp", "b_pm", "b_mp", "b_mm"))
     raise2 = compose_2d(b_pp, b_pm)
     lower2 = compose_2d(b_mp, b_mm)
     a_plus = build_op_1d("A_plus")
     a_minus = build_op_1d("A_minus")
-
-    checks.append(
-        {
-            "id": "raising-order-insensitive",
-            "ok": compose_2d(b_pp, b_pm) == compose_2d(b_pm, b_pp),
-        }
-    )
-    checks.append(
-        {
-            "id": "lowering-order-insensitive",
-            "ok": compose_2d(b_mp, b_mm) == compose_2d(b_mm, b_mp),
-        }
-    )
+    check("raising-order-insensitive", raise2 == compose_2d(b_pm, b_pp))
+    check("lowering-order-insensitive", lower2 == compose_2d(b_mm, b_mp))
 
     # alpha = +1 branch: Omega_{-3/2, 0} has charge 3/2 and reduces to
     # r^(-1) w, the alpha = 1 line vacuum.
@@ -126,16 +108,10 @@ def bridge_audit(n_max: int = 4) -> dict:
     line = solve_vacuum_1d(Fraction(1))
     half_pow = Fraction(1)
     for n in range(n_max + 1):
-        pair = _ratio(radial_reduce(planar, q), line)
-        ratio = None if pair is None else pair[0].try_div(pair[1])
-        checks.append(
-            {
-                "id": "raise-tower-alpha-plus-n%d" % n,
-                "ok": ratio == half_pow,
-                "expected_ratio": str(half_pow),
-                "got_ratio": None if ratio is None else ratio.text(),
-            }
-        )
+        ratio = _quotient(radial_reduce(planar, q), line)
+        got = None if ratio is None else ratio.text()
+        tag = "raise-tower-alpha-plus-n%d" % n
+        check(tag, ratio == half_pow, expected_ratio=str(half_pow), got_ratio=got)
         if n < n_max:
             planar = apply_2d(raise2, planar)
             line = apply_1d(a_plus, line)
@@ -147,18 +123,11 @@ def bridge_audit(n_max: int = 4) -> dict:
     # reduce(planar) = half_pow * line going in, the lowered pair obeys
     # reduce(lower2 planar) = (half_pow/2) * A_minus line.
     for k in range(1, n_max + 1):
-        down_planar = apply_2d(lower2, planar)
-        down_line = apply_1d(a_minus, line)
+        planar = apply_2d(lower2, planar)
+        line = apply_1d(a_minus, line)
         half_pow = half_pow / 2
-        got = radial_reduce(down_planar, q) if down_planar else State1D.zero()
-        checks.append(
-            {
-                "id": "lower-transport-alpha-plus-k%d" % k,
-                "ok": got == down_line.scaled(half_pow),
-            }
-        )
-        planar = down_planar
-        line = down_line
+        got = radial_reduce(planar, q) if planar else State1D.zero()
+        check("lower-transport-alpha-plus-k%d" % k, got == line.scaled(half_pow))
         if planar.is_zero() or line.is_zero():
             break
 
@@ -166,23 +135,8 @@ def bridge_audit(n_max: int = 4) -> dict:
     # radial Hamiltonian is the same line operator, and the reduction is
     # r^2 w, the alpha = -2 vacuum.
     got = radial_reduce(omega(Fraction(3, 2), 0), Fraction(-3, 2))
-    checks.append(
-        {
-            "id": "vacuum-alpha-minus",
-            "ok": got == solve_vacuum_1d(Fraction(-2)),
-        }
-    )
-
-    checks.append(
-        {
-            "id": "radial-hamiltonian-matches-line",
-            "ok": radial_hamiltonian(Fraction(3, 2)) == build_op_1d("H1")
-            and radial_hamiltonian(Fraction(-3, 2)) == build_op_1d("H1"),
-        }
-    )
-
-    return {
-        "n_max": n_max,
-        "checks": checks,
-        "all_ok": all(c["ok"] for c in checks),
-    }
+    check("vacuum-alpha-minus", got == solve_vacuum_1d(Fraction(-2)))
+    h1 = build_op_1d("H1")
+    ok = radial_hamiltonian(Fraction(3, 2)) == h1 and radial_hamiltonian(Fraction(-3, 2)) == h1
+    check("radial-hamiltonian-matches-line", ok)
+    return {"n_max": n_max, "checks": checks, "all_ok": all(c["ok"] for c in checks)}

@@ -278,9 +278,9 @@ class GradedScalar(_TermMap):
     @staticmethod
     def _term(grade, q):
         j, k = grade
-        j = int(j)
+        j, k = _as_count(j, "grade j"), _as_count(k, "grade k")
         # 2^(j/2) = 2^(j//2) * 2^((j%2)/2) with the first factor rational
-        return (j % 2, int(k)), _as_fraction(q) * Fraction(2) ** (j // 2)
+        return (j % 2, k), _as_fraction(q) * Fraction(2) ** (j // 2)
 
     @staticmethod
     def _lift(other):
@@ -301,7 +301,7 @@ class GradedScalar(_TermMap):
     @classmethod
     def monomial(cls, q, j=0, k=0) -> "GradedScalar":
         """Single term q * 2^(j/2) * pi^(k/2)."""
-        return cls({(int(j), int(k)): _as_fraction(q)})
+        return cls([((j, k), q)])
 
     @classmethod
     def sqrt2(cls) -> "GradedScalar":
@@ -330,7 +330,8 @@ class GradedScalar(_TermMap):
         return None
 
     def coefficient(self, j, k) -> Fraction:
-        return self._terms.get((int(j) % 2, int(k)), _ZERO_FRACTION)
+        j, k = _as_count(j, "grade j"), _as_count(k, "grade k")
+        return self._terms.get((j % 2, k), _ZERO_FRACTION)
 
     # -- ring operations ----------------------------------------------------
     # +, * and try_div sit in each scalar class's own dict, where the bench
@@ -877,7 +878,9 @@ def gamma_laurent(base, slope) -> LaurentValue:
     if base.denominator == 1 and base.numerator <= 0:
         m = -base.numerator
         if m > MAX_GAMMA_ARG:  # the residue and the digamma sum take m steps
-            raise DomainError("gamma argument %s exceeds the exact bound %d" % (base, MAX_GAMMA_ARG))
+            raise DomainError(
+                "gamma argument %s exceeds the exact bound %d" % (base, MAX_GAMMA_ARG)
+            )
         residue = Fraction((-1) ** m, math.factorial(m))
         pole = GradedScalar.rational(residue / slope)
         harmonic = sum(1.0 / i for i in range(1, m + 1))

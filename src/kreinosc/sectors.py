@@ -830,6 +830,7 @@ def identity_audit() -> tuple:
 # ---------------------------------------------------------------------------
 
 EXPORT_FORMATS = ("dot", "json", "csv")
+_CSV_COLUMNS = "kind index depth energy charge src dst generator num den".split()
 
 
 def _sorted_nodes(lattice: SectorLattice):
@@ -889,28 +890,17 @@ def lattice_export(lattice: SectorLattice, fmt: str) -> str:
         return dumps(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["kind", "index", "depth", "energy", "charge", "src", "dst", "generator", "num", "den"]
-        )
+        w = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")  # a missing column is blank
+        w.writeheader()
         for n in _sorted_nodes(lattice):
+            energy, charge = _eps_text(n.energy), _eps_text(n.charge)
             w.writerow(
-                [
-                    "node",
-                    n.index,
-                    n.depth,
-                    _eps_text(n.energy),
-                    _eps_text(n.charge),
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                ]
+                dict(kind="node", index=n.index, depth=n.depth, energy=energy, charge=charge)
             )
         for e in _sorted_edges(lattice):
+            num, den = e.num.text(), e.den.text()
             w.writerow(
-                ["edge", "", "", "", "", e.src, e.dst, e.generator, e.num.text(), e.den.text()]
+                dict(kind="edge", src=e.src, dst=e.dst, generator=e.generator, num=num, den=den)
             )
         return buf.getvalue()
     raise UnsupportedFormat(
