@@ -175,7 +175,8 @@ class _DiffOp(_TermMap):
     @classmethod
     def _key(cls, key) -> tuple:
         n = len(cls._vars)
-        powers, orders = tuple(map(_as_fraction, key[:n])), tuple(map(int, key[n:]))
+        powers = tuple(map(_as_fraction, key[:n]))
+        orders = tuple(_as_count(r, "derivative order") for r in key[n:])
         if len(powers) + len(orders) != 2 * n:
             raise DomainError("%s keys have %d entries" % (cls.__name__, 2 * n))
         if min(orders) < 0:
@@ -206,7 +207,7 @@ class DiffOp1D(_DiffOp):
     _vars = (("x", "D"),)
 
     def coefficient(self, p, q) -> GradedScalar:
-        return self._terms.get((_as_fraction(p), int(q)), GS_ZERO)
+        return self._terms.get((_as_fraction(p), _as_count(q, "derivative order")), GS_ZERO)
 
     def __mul__(self, other):
         if isinstance(other, DiffOp1D):

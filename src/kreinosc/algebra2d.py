@@ -557,10 +557,17 @@ def states_proportional(a: State2D, b: State2D):
 
     Decided by cross-multiplication in the eps-polynomial ring, so the
     ratio may be a rational function of eps; when the quotient is itself
-    polynomial the pair is reduced to (quotient, 1).
+    polynomial the pair is reduced to (quotient, 1).  Against a b monic in
+    its top key, as generate_sector stores its nodes, a = q b forces q to
+    be a's coefficient there: one product per key decides it, no division.
     """
     if not a or not b:
         raise DomainError("proportionality requires nonzero states")
+    if a._terms.keys() == b._terms.keys():
+        top, one = max(b._terms), EpsScalar.one()
+        if b._terms[top] == one:
+            q = a._terms[top]
+            return (q, one) if all(c == b._terms[k] * q for k, c in a._terms.items()) else None
     ratio = _ratio(a, b)
     if ratio is None:
         return None

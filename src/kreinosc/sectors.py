@@ -23,6 +23,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra1d import _COUPLINGS, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import (
@@ -73,7 +74,7 @@ MAX_DARK_WORK = 12_000
 # Work budget of one Gram analysis, predicted before any pairing: n(n+1)/2
 # pairings plus ~n^3 elimination steps per charge block of n nodes.  The
 # presets at MAX_DEPTH predict 43690 at most, omega:1/2,3 at depth 4 74451
-# (0.8 s) and at depth 5 760298 (~5 s).
+# (0.6 s) and at depth 5 760298 (~2 s).
 MAX_GRAM_WORK = 100_000
 
 
@@ -311,12 +312,45 @@ def _congruence_diagonalize(mat):
     mat is a list of GradedScalar rows.  The transform E satisfies
     E^T mat E = diag; column i of E is a null vector of mat whenever
     diag[i] is zero.  Division-free: pivots multiply through.
+
+    A block whose entries are all rational multiples of one unit
+    u = 2^(j/2) pi^(k/2) is mat = B t with B an integer matrix and
+    t = u/L, L the lcm of the denominators.  Then the elimination runs
+    on the ints of B: column c of E carries t^e_c, entry (r, c) carries
+    t^(e_r + e_c + 1) (an op on column j by pivot i adds 2 e_i + 1 to
+    e_j), and the values come back as monomials.  Any other block, or a
+    zero-pivot repair that would add columns of unequal power of a t
+    other than 1, runs on the GradedScalar entries.
     """
-    n = len(mat)
-    m = [list(row) for row in mat]
-    ecols = [[GS_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        ecols[i][i] = GradedScalar.one()
+    grades = {g for row in mat for x in row for g in x._terms}
+    if len(grades) <= 1 and all(len(x._terms) <= 1 for row in mat for x in row):
+        j, k = grades.pop() if grades else (0, 0)
+        den = lcm(*(x._terms[j, k].denominator for row in mat for x in row if x))
+        ints = [[int(den * x._terms[j, k]) if x else 0 for x in row] for row in mat]
+        out = _eliminate(ints, 1, strict=(j, k, den) != (0, 0, 1))
+        if out is not None:
+            diag, ecols, powers = out
+
+            def lift(v, e):
+                return GradedScalar.monomial(Fraction(v, den**e), j * e, k * e) if v else GS_ZERO
+
+            diag = tuple(lift(d, 2 * e + 1) for d, e in zip(diag, powers))
+            return diag, [[lift(v, e) for v in col] for col, e in zip(ecols, powers)]
+    return _eliminate([list(row) for row in mat], GradedScalar.one())[:2]
+
+
+def _eliminate(m, one, strict=False):
+    """Division-free congruence of the symmetric matrix m (changed in place).
+
+    Entries are ints or GradedScalars, and ``one`` is their 1.  Returns
+    (diagonal, transform columns, powers): powers[c] is the power of t
+    that column c carries (see _congruence_diagonalize).  When
+    ``strict``, a repair that would add columns of unequal power returns
+    None.
+    """
+    n = len(m)
+    ecols = [[one if r == c else one * 0 for r in range(n)] for c in range(n)]
+    powers = [0] * n
 
     def col_op(j, p, a, i):
         # col_j <- p*col_j - a*col_i, applied to m (both sides) and E
@@ -332,6 +366,7 @@ def _congruence_diagonalize(mat):
             m[r][i], m[r][j] = m[r][j], m[r][i]
         m[i], m[j] = m[j], m[i]
         ecols[i], ecols[j] = ecols[j], ecols[i]
+        powers[i], powers[j] = powers[j], powers[i]
 
     for i in range(n):
         if not m[i][i]:
@@ -342,14 +377,16 @@ def _congruence_diagonalize(mat):
                 off = next((j for j in range(i + 1, n) if m[i][j]), None)
                 if off is None:
                     continue  # fully split off: null direction
+                if strict and powers[i] != powers[off]:
+                    return None
                 col_op(i, 1, -1, off)  # col_i <- col_i + col_off
         p = m[i][i]
         for j in range(i + 1, n):
             a = m[i][j]
             if a:
                 col_op(j, p, a, i)
-    diag = tuple(m[i][i] for i in range(n))
-    return diag, ecols
+                powers[j] += 2 * powers[i] + 1
+    return tuple(m[i][i] for i in range(n)), ecols, powers
 
 
 def _block_result(lattice, charge, indices) -> GramResult:
