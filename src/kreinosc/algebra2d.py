@@ -99,10 +99,11 @@ class State2D(_TermMap):
     ``renorm_power`` is 0 for plain states and 1/2 for states drawn from
     an eps-deformed sector, recording the sqrt(eps) prefactor that the
     renormalized inner product applies.  It takes part in ==, and only
-    states with the same marker add.
+    states with the same marker add.  The pairing index (see _pairing) is
+    kept in a slot of its own and takes no part in == or hash.
     """
 
-    __slots__ = ("renorm_power",)
+    __slots__ = ("renorm_power", "_index")
     _coeff = staticmethod(EpsScalar.of)
 
     def __init__(self, terms=None, renorm_power=Fraction(0)):
@@ -142,6 +143,26 @@ class State2D(_TermMap):
 
     def charges(self) -> set:
         return {(mu - lam, ms - ls) for lam, ls, mu, ms in self._terms}
+
+    def _pairing(self) -> tuple:
+        """(entries, buckets), built on the first pairing and kept.
+
+        Each term as (charge key, lam + mu, slope sum, coefficient) in term
+        order, and the same entries bucketed by charge key.  The key holds
+        the charge's integer parts, (numerator, denominator, slope), since a
+        Fraction hashes slowly; lam + mu is an int when integral.
+        """
+        if hasattr(self, "_index"):
+            return self._index
+        entries, buckets = [], {}
+        for (lam, ls, mu, ms), c in self._terms.items():
+            q, t = mu - lam, lam + mu
+            key = (q.numerator, q.denominator, ms - ls)
+            e = (key, t.numerator if t.denominator == 1 else t, ls + ms, c)
+            entries.append(e)
+            buckets.setdefault(key, []).append(e)
+        object.__setattr__(self, "_index", (entries, buckets))
+        return entries, buckets
 
     def limit_eps0(self) -> "State2D":
         """Termwise eps -> 0 limit: slopes dropped, coefficients at eps = 0."""
@@ -383,9 +404,10 @@ def _lowers_off(s: State2D) -> bool:
 
 
 # The moments pi * gamma(base + slope*eps) take few distinct arguments: a
-# lab-mix pass pairs ~12k term pairs over 32 of them.  The cache is bounded
-# because library callers may pass any exponents; a pole error is raised
-# afresh each time, since lru_cache keeps no exceptions.
+# lab-mix pass pairs 13.3k term pairs over 41 of them, a dark-evaluated pass
+# 14.7k over 40.  The cache is bounded because library callers may pass any
+# exponents; a pole error is raised afresh each time, since lru_cache keeps
+# no exceptions.
 MOMENT_CACHE_SIZE = 4096
 
 
@@ -414,31 +436,20 @@ def _moment(twice: int, slopes: int) -> LaurentValue:
 def _matched(f: State2D, g: State2D) -> list:
     """(twice, slopes, cf, cg) of every charge-matched term pair; see _moment.
 
-    g's terms are indexed by charge, so each term of f meets only its own
-    bucket; pairs come in the order of the double loop over f's terms,
-    then g's.  Every gamma argument is domain-checked here, before any
-    moment: it is a half-integer exactly when the exponent sum is an
-    integer.
+    Read off both states' pairing indices: each term of f meets only its
+    own bucket of g, and pairs come in the order of the double loop over
+    f's terms, then g's.  Every gamma argument is domain-checked here,
+    before any moment: it is a half-integer exactly when the exponent sum
+    is an integer.
     """
-    # charges are keyed by their integer parts: a Fraction hashes slowly
-    buckets: dict[tuple, list] = {}
-    for (lam, ls, mu, ms), cg in g._terms.items():
-        q = mu - lam
-        buckets.setdefault((q.numerator, q.denominator, ms - ls), []).append(
-            (lam + mu, ls + ms, cg)
-        )
+    buckets = g._pairing()[1]
     pairs = []
-    for (lam, ls, mu, ms), cf in f._terms.items():
-        q = mu - lam
-        bucket = buckets.get((q.numerator, q.denominator, ms - ls))
-        if not bucket:
-            continue
-        t = lam + mu
-        for u, s, cg in bucket:
+    for key, t, s, cf in f._pairing()[0]:
+        for _, u, v, cg in buckets.get(key, ()):
             twice = t + u
             if twice.denominator != 1:
                 _check_half_integer(twice / 2 + 1)
-            pairs.append((twice.numerator, ls + ms + s, cf, cg))
+            pairs.append((twice.numerator, s + v, cf, cg))
     return pairs
 
 
@@ -474,16 +485,34 @@ def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     DomainError ahead of any pole report; either failure is symmetric
     under swapping f and g.
 
-    The pairs come from the core shared with renorm_inner: g's terms
-    indexed by charge, products taken modulo eps^2, and each moment read
-    from a bounded per-process cache.  Pairs are accumulated one by one in
-    the order of the plain double loop, never grouped by moment: a grouped
-    sum would reorder the exact terms and the float mirror.
+    The pairs come from the core shared with renorm_inner: both states'
+    terms indexed by charge, products taken modulo eps^2, and each moment
+    read from a bounded per-process cache.  Pairs are accumulated one by
+    one in the order of the plain double loop, never grouped by moment: a
+    grouped sum would reorder the exact terms and the float mirror.
     """
     total = LaurentValue.zero()
     for twice, slopes, cf, cg in _matched(f, g):
         total = total + _moment(twice, slopes).times_eps_poly(_mod_eps2(cf, cg))
     return total.shifted(f.renorm_power + g.renorm_power)
+
+
+def _put_product(out: dict, x: GradedScalar, y: GradedScalar) -> None:
+    """out += x*y on a graded term dict, with the stored order of the ring's sum.
+
+    Two one-term factors give one term, folded as GradedScalar.__mul__
+    folds it, and no GradedScalar; any other product is formed first.
+    """
+    if len(x._terms) == 1 and len(y._terms) == 1:
+        ((j1, k1), q1), = x._terms.items()
+        ((j2, k2), q2), = y._terms.items()
+        if j1 and j2:
+            _put(out, (0, k1 + k2), q1 * q2 * 2)
+        else:
+            _put(out, (j1 + j2, k1 + k2), q1 * q2)
+    else:
+        for key, q in (x * y)._terms.items():
+            _put(out, key, q)
 
 
 def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
@@ -495,15 +524,17 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
 
     It reads the pairs from inner_2d's core but folds only the exact pole
     and finite sums, with no float mirror, in the same pair order, so the
-    result equals inner_2d's, stored terms included.  A pair's eps^1
-    coefficient is formed only at a pole moment, and under an eps^(1/2)
-    or eps^1 shift, where only the pole total is left, no finite part at
-    all.  Pairs are never grouped by moment: besides reordering the sums,
+    result equals inner_2d's, stored terms included: both sums are term
+    dicts, and _put_product adds each pair's product in place, in the
+    order GradedScalar's sum would store it.  A pair's eps^1 coefficient
+    is formed only at a pole moment, and under an eps^(1/2) or eps^1
+    shift, where only the pole total is left, no finite part at all.
+    Pairs are never grouped by moment: besides reordering the sums,
     grouping would let two pole pairs whose eps^0 coefficients cancel
     hide the digamma term that makes the limit unavailable.
     """
     power = f.renorm_power + g.renorm_power
-    pole = fin = GS_ZERO
+    pole, fin = {}, {}  # the two sums' term dicts; fin None once a digamma term enters
     for twice, slopes, cf, cg in _matched(f, g):
         m = _moment(twice, slopes)
         if power and m.finite is not None:
@@ -513,12 +544,13 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
         c0 = None if a0 is None or b0 is None else a0 * b0  # None: cf*cg has no eps^0
         if m.finite is not None:
             if c0 is not None and fin is not None:
-                fin = fin + m.finite * c0
+                _put_product(fin, m.finite, c0)
         elif c0 is not None:
-            pole = pole + m.pole * c0
+            _put_product(pole, m.pole, c0)
             fin = None  # the residue's digamma term
         elif fin is not None and not power:
-            fin = fin + m.pole * _mod_eps2(cf, cg).coeff(1)
+            _put_product(fin, m.pole, _mod_eps2(cf, cg).coeff(1))
+    pole = GS_ZERO._like(pole)
     if power:
         return LaurentValue(pole, GS_ZERO, 0.0).shifted(power).finite
     if pole:
@@ -529,7 +561,7 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
         raise DomainError(
             "constant term involves digamma values excluded from exact mode"
         )
-    return fin
+    return GS_ZERO._like(fin)
 
 
 def eigencheck_2d(op: DiffOp2D, s: State2D):

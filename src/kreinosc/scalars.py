@@ -377,10 +377,15 @@ class GradedScalar(_TermMap):
         The ring is the Laurent-polynomial ring F[y, 1/y] with y =
         sqrt(pi) over the field F = Q(sqrt(2)), so this is long division
         in powers of y, negative shifts included, whose coefficients are
-        the parts of self and other at each power of y (scalars at k = 0).
+        the parts of self and other at each power of y (scalars at k = 0);
+        a one-term quotient of one-term values is written down directly.
         """
         if not isinstance(other, GradedScalar) or not other:
             raise DomainError("division by zero scalar")
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            ((j1, k1), q1), = self._terms.items()
+            ((j2, k2), q2), = other._terms.items()
+            return GradedScalar.monomial(q1 / q2, j1 - j2, k1 - k2)
         quot = _long_div(self._in_y(), other._in_y(), _sqrt2_field_div, laurent=True)
         if quot is None:
             return None

@@ -604,7 +604,7 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
     states_a = [n.state for n in a.nodes]
     states_b = [n.state for n in b.nodes]
-    charges_a = [frozenset(s.charges()) for s in states_a]
+    charges_a = [s.charges() for s in states_a]
     charges_b = [s.charges() for s in states_b]
     # offsets[i][j]: the word shifts that carry a charge of node j of b
     # onto a charge of node i of a
@@ -647,7 +647,9 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
             k -= 1
         img = built[word[:k], j]
         for m in range(k, len(word)):
-            img = built[word[: m + 1], j] = ladder_image(word[m], img)
+            img = ladder_image(word[m], img)
+            if m + 1 < max_degree:  # a full-degree image is never extended: let it go
+                built[word[: m + 1], j] = img
         return img
 
     found = {}  # first word of a class -> (pairs checked, [(node a, node b, value, note)])
@@ -656,14 +658,13 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     for word, canon, shift in words:
         if canon not in found:  # word is the first of its class
             images = {j: image(word, j) for j, r in enumerate(reach) if shift in r}
-            image_charges = {
-                j: frozenset(img.charges()) for j, img in images.items() if not img.is_zero()
-            }
+            # charge supports as the pairing index's keys, which the pairing then reads
+            image_keys = {j: img._pairing()[1] for j, img in images.items() if not img.is_zero()}
             n = 0
             survivors = []
             for i, sa in enumerate(states_a):
-                for j, qb in image_charges.items():
-                    if not charges_a[i] & qb:
+                for j, kb in image_keys.items():
+                    if kb.keys().isdisjoint(sa._pairing()[1]):
                         continue
                     n += 1
                     try:
