@@ -161,6 +161,8 @@ class State2D(_TermMap):
             e = (key, t.numerator if t.denominator == 1 else t, ls + ms, c)
             entries.append(e)
             buckets.setdefault(key, []).append(e)
+        if len(buckets) == 1:  # one charge: its bucket is the entries list itself
+            buckets[key] = entries
         object.__setattr__(self, "_index", (entries, buckets))
         return entries, buckets
 
@@ -177,7 +179,8 @@ class State2D(_TermMap):
 
 def omega(lam, mu, lam_slope=0, mu_slope=0) -> State2D:
     """Unit-coefficient weighted monomial state."""
-    return State2D({(lam, lam_slope, mu, mu_slope): EpsScalar.one()})
+    # a term list, not a dict: the key is checked before anything hashes it
+    return State2D([((lam, lam_slope, mu, mu_slope), EpsScalar.one())])
 
 
 def psi0() -> State2D:
@@ -392,6 +395,9 @@ def _lowers_off(s: State2D) -> bool:
     a term that s lacks: s is no eigenstate of H.
     """
     keys = s._terms
+    if len(keys) == 1:  # a shifted key is never the key itself
+        (lam, ls, mu, ms), = keys
+        return bool((lam or ls) and (mu or ms))
     return any(
         (lam or ls) and (mu or ms) and (lam - 1, ls, mu - 1, ms) not in keys
         for lam, ls, mu, ms in keys

@@ -337,8 +337,10 @@ def parse_expr(src: str):
     """Parse the expression language.
 
     Raises OpSyntaxError with a byte offset, and DepthExceeded for an
-    exponent above MAX_EXPONENT.
+    exponent above MAX_EXPONENT, and DomainError for a source that is no str.
     """
+    if not isinstance(src, str):
+        raise DomainError("expression source must be a str, got %r" % (src,))
     if not src or src.isspace():
         raise OpSyntaxError("empty expression", 0)
     p = _Parser(src)

@@ -18,7 +18,8 @@ constant term is tracked numerically.
 
 Both scalar rings, and the states and operators of the algebra modules,
 are built on one sparse term-map core (`_TermMap`); both rings divide
-through one exact long division (`_long_div`).
+through one exact long division (`_long_div`), or term by term by a
+one-term divisor.
 
 All values are immutable and every function is pure.
 """
@@ -280,7 +281,8 @@ class GradedScalar(_TermMap):
         j, k = grade
         j, k = _as_count(j, "grade j"), _as_count(k, "grade k")
         # 2^(j/2) = 2^(j//2) * 2^((j%2)/2) with the first factor rational
-        return (j % 2, k), _as_fraction(q) * Fraction(2) ** (j // 2)
+        q, half = _as_fraction(q), j // 2
+        return (j % 2, k), q * Fraction(2) ** half if half else q
 
     @staticmethod
     def _lift(other):
@@ -296,12 +298,15 @@ class GradedScalar(_TermMap):
 
     @classmethod
     def rational(cls, q) -> "GradedScalar":
-        return cls({(0, 0): _as_fraction(q)})
+        q = _as_fraction(q)
+        return _GS_ZERO._like({(0, 0): q} if q else {})
 
     @classmethod
     def monomial(cls, q, j=0, k=0) -> "GradedScalar":
-        """Single term q * 2^(j/2) * pi^(k/2)."""
-        return cls([((j, k), q)])
+        """Single term q * 2^(j/2) * pi^(k/2), built directly (as rational is) with
+        the coercions and errors of the general constructor; empty for q = 0."""
+        key, q = cls._term((j, k), q)
+        return _GS_ZERO._like({key: q} if q else {})
 
     @classmethod
     def sqrt2(cls) -> "GradedScalar":
@@ -608,7 +613,8 @@ class EpsScalar(_TermMap):
         """Lift a rational or GradedScalar to a constant polynomial."""
         if isinstance(value, EpsScalar):
             return value
-        return cls((value,))
+        c = _coerce_scalar(value)  # the one-term map, built directly
+        return _EPS_ONE._like({0: c} if c else {})
 
     @classmethod
     def affine(cls, c0, c1) -> "EpsScalar":
@@ -681,6 +687,15 @@ class EpsScalar(_TermMap):
         other = EpsScalar.of(other)
         if not other:
             raise DomainError("division by zero polynomial")
+        if len(other._terms) == 1:  # _long_div's steps: each term of self alone, top down
+            (p, c), = other._terms.items()
+            quot = {}
+            for i in sorted(self._terms, reverse=True):
+                t = self._terms[i].try_div(c) if i >= p else None  # i < p: a negative shift
+                if t is None:
+                    return None
+                quot[i - p] = t
+            return self._like(quot)
         quot = _long_div(self._terms, other._terms, GradedScalar.try_div, laurent=False)
         return None if quot is None else self._like(quot)
 

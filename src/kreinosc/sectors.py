@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .algebra1d import _COUPLINGS, apply_1d, build_op_1d, solve_vacuum_1d
+from .algebra1d import _COUPLINGS, _known, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import (
     State2D,
     _LADDER,
@@ -90,6 +90,12 @@ def _ladder_shifts(name: str) -> dict:
     Q shift.  The identity audit checks both columns.
     """
     return {g: row.dE if name == "H" else row.dQ for g, row in _LADDER.items()}
+
+
+@functools.cache
+def _lifted_shifts(name: str) -> dict:
+    """_ladder_shifts(name) as EpsScalars, lifted once for closure's eigenvalue sums."""
+    return {g: EpsScalar.of(d) for g, d in _ladder_shifts(name).items()}
 
 
 def _eps_text(v) -> str:
@@ -229,8 +235,8 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
 
     energies, charges, warnings = [], [], []
     checks = (
-        (build_op_2d("H"), _ladder_shifts("H"), energies, "an energy"),
-        (build_op_2d("Q"), _ladder_shifts("Q"), charges, "a charge"),
+        (build_op_2d("H"), _lifted_shifts("H"), energies, "an energy"),
+        (build_op_2d("Q"), _lifted_shifts("Q"), charges, "a charge"),
     )
     for i, (s, (p, g)) in enumerate(zip(states, parents)):
         for op, shifts, values, what in checks:
@@ -271,8 +277,7 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_sector(name: str, depth: int = 2) -> SectorLattice:
-    if name not in _PRESETS:
-        raise DomainError("unknown preset %r; choose from %s" % (name, ", ".join(PRESET_NAMES)))
+    name = _known(name, _PRESETS, "unknown preset %r; choose from " + ", ".join(PRESET_NAMES))
     seed, seed_text, gens = _PRESETS[name]
     return generate_sector(seed, gens, depth, seed_text=seed_text)
 
@@ -566,6 +571,29 @@ def _scan_words(max_degree: int) -> tuple:
     )
 
 
+@functools.cache
+def _scan_classes(max_degree: int) -> Counter:
+    """(degree, charge shift) -> number of operator classes, from _scan_words."""
+    return Counter((len(w), shift) for w, canon, shift in _scan_words(max_degree) if w == canon)
+
+
+def _offsets(states_a, states_b) -> list:
+    """offsets[i][j]: the word shifts that carry a charge of node j of b onto one of node i of a.
+
+    Read off the charge keys (numerator, denominator, slope) of the states'
+    pairing indices: two charges differ by an integer only over one denominator.
+    """
+    keys_b = [s._pairing()[1].keys() for s in states_b]
+    return [
+        [
+            {(na - nb) // d for na, d, sa in ka for nb, db, sb in kb
+             if db == d and sb == sa and not (na - nb) % d}
+            for kb in keys_b
+        ]
+        for ka in (s._pairing()[1].keys() for s in states_a)
+    ]
+
+
 def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkReport:
     """Test every <node of a, M (node of b)> element for vanishing.
 
@@ -604,26 +632,11 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
     states_a = [n.state for n in a.nodes]
     states_b = [n.state for n in b.nodes]
-    charges_a = [s.charges() for s in states_a]
-    charges_b = [s.charges() for s in states_b]
-    # offsets[i][j]: the word shifts that carry a charge of node j of b
-    # onto a charge of node i of a
-    offsets = [
-        [
-            {
-                int(t)
-                for t in (qa - qb for qa, sa in ca for qb, sb in cb if sa == sb)
-                if t.denominator == 1
-            }
-            for cb in charges_b
-        ]
-        for ca in charges_a
-    ]
+    offsets = _offsets(states_a, states_b)
     reach = [set().union(*(row[j] for row in offsets)) for j in range(len(states_b))]
 
     words = _scan_words(max_degree)
-    # (degree, shift) -> number of operator classes
-    classes = Counter((len(word), shift) for word, canon, shift in words if word == canon)
+    classes = _scan_classes(max_degree)
     hits = Counter(t for row in offsets for cell in row for t in cell)
     n_images = n_evaluations = 0
     for (degree, shift), n in classes.items():
