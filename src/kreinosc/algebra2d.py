@@ -30,6 +30,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .algebra1d import Divergence, _compose, _DiffOp, _divergence, _eigenvalue, _known, _ratio
 from .errors import DomainError, NotConvergent, PoleError
@@ -41,6 +42,7 @@ from .scalars import (
     LaurentValue,
     _as_count,
     _as_fraction,
+    _as_instance,
     _check_half_integer,
     _coerce_scalar,
     _HALF,
@@ -147,18 +149,20 @@ class State2D(_TermMap):
     def _pairing(self) -> tuple:
         """(entries, buckets), built on the first pairing and kept.
 
-        Each term as (charge key, lam + mu, slope sum, coefficient) in term
-        order, and the same entries bucketed by charge key.  The key holds
-        the charge's integer parts, (numerator, denominator, slope), since a
-        Fraction hashes slowly; lam + mu is an int when integral.
+        Each term as (charge key, 2(lam + mu), slope sum, coefficient, int
+        form of its eps^0 coefficient; see _int_form) in term order, and the
+        same entries bucketed by charge key.  The key holds the charge's
+        integer parts, (numerator, denominator, slope), since a Fraction
+        hashes slowly; 2(lam + mu) is an int when lam + mu is a half-integer.
         """
         if hasattr(self, "_index"):
             return self._index
         entries, buckets = [], {}
         for (lam, ls, mu, ms), c in self._terms.items():
-            q, t = mu - lam, lam + mu
+            q, t, c0 = mu - lam, lam + mu, c._terms.get(0)
             key = (q.numerator, q.denominator, ms - ls)
-            e = (key, t.numerator if t.denominator == 1 else t, ls + ms, c)
+            t = 2 * t.numerator // t.denominator if t.denominator < 3 else 2 * t
+            e = (key, t, ls + ms, c, _NO_EPS0 if c0 is None else _int_form(c0))
             entries.append(e)
             buckets.setdefault(key, []).append(e)
         if len(buckets) == 1:  # one charge: its bucket is the entries list itself
@@ -416,14 +420,25 @@ def _lowers_off(s: State2D) -> bool:
 # no exceptions.
 MOMENT_CACHE_SIZE = 4096
 
+_NO_EPS0 = (0, 0, 0, 1)  # the int form of a missing eps^0 coefficient: zero
+
+
+def _int_form(v: GradedScalar):
+    """(j, k, numerator, denominator) of a one-term q*2^(j/2)*pi^(k/2); None for a sum."""
+    if len(v._terms) != 1:
+        return None
+    ((j, k), q), = v._terms.items()
+    return j, k, q.numerator, q.denominator
+
 
 @functools.lru_cache(maxsize=MOMENT_CACHE_SIZE)
-def _moment(twice: int, slopes: int) -> LaurentValue:
+def _moment(twice: int, slopes: int) -> tuple:
     """pi * gamma(base + slope*eps) with base = 1 + twice/2 and slope = slopes/2.
 
     ``twice`` is the pair's integral exponent sum lam_f + mu_f + lam_g +
     mu_g.  A pole moment has a nonzero pole and no exact finite part; a
-    regular one has a zero pole and an exact finite part.
+    regular one has a zero pole and an exact finite part.  That nonzero
+    part is one term, and its int form comes with it.
     """
     base = Fraction(twice, 2) + 1
     if slopes:
@@ -436,26 +451,29 @@ def _moment(twice: int, slopes: int) -> LaurentValue:
                 "radial moment hits a gamma pole at %s with no eps "
                 "regulator; deform the exponents" % base
             )
-    return val.times_scalar(GS_PI)
+    val = val.times_scalar(GS_PI)
+    return val, _int_form(val.pole if val.finite is None else val.finite)
 
 
 def _matched(f: State2D, g: State2D) -> list:
-    """(twice, slopes, cf, cg) of every charge-matched term pair; see _moment.
+    """(twice, slopes, cf, cg, xf, xg) of every charge-matched pair; see _moment, _pairing.
 
     Read off both states' pairing indices: each term of f meets only its
     own bucket of g, and pairs come in the order of the double loop over
-    f's terms, then g's.  Every gamma argument is domain-checked here,
-    before any moment: it is a half-integer exactly when the exponent sum
-    is an integer.
+    f's terms, then g's.  Both arguments are checked to be planar states,
+    and every gamma argument is domain-checked here, before any moment: it
+    is a half-integer exactly when the exponent sum is an integer.
     """
+    _as_instance(f, State2D, "f")
+    _as_instance(g, State2D, "g")
     buckets = g._pairing()[1]
     pairs = []
-    for key, t, s, cf in f._pairing()[0]:
-        for _, u, v, cg in buckets.get(key, ()):
-            twice = t + u
-            if twice.denominator != 1:
-                _check_half_integer(twice / 2 + 1)
-            pairs.append((twice.numerator, s + v, cf, cg))
+    for key, t, s, cf, xf in f._pairing()[0]:
+        for _, u, v, cg, xg in buckets.get(key, ()):
+            doubled = t + u  # twice the exponent sum
+            if doubled.denominator != 1 or doubled % 2:
+                _check_half_integer(Fraction(doubled, 4) + 1)
+            pairs.append((doubled.numerator >> 1, s + v, cf, cg, xf, xg))
     return pairs
 
 
@@ -498,27 +516,9 @@ def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     grouped sum would reorder the exact terms and the float mirror.
     """
     total = LaurentValue.zero()
-    for twice, slopes, cf, cg in _matched(f, g):
-        total = total + _moment(twice, slopes).times_eps_poly(_mod_eps2(cf, cg))
+    for twice, slopes, cf, cg, _, _ in _matched(f, g):
+        total = total + _moment(twice, slopes)[0].times_eps_poly(_mod_eps2(cf, cg))
     return total.shifted(f.renorm_power + g.renorm_power)
-
-
-def _put_product(out: dict, x: GradedScalar, y: GradedScalar) -> None:
-    """out += x*y on a graded term dict, with the stored order of the ring's sum.
-
-    Two one-term factors give one term, folded as GradedScalar.__mul__
-    folds it, and no GradedScalar; any other product is formed first.
-    """
-    if len(x._terms) == 1 and len(y._terms) == 1:
-        ((j1, k1), q1), = x._terms.items()
-        ((j2, k2), q2), = y._terms.items()
-        if j1 and j2:
-            _put(out, (0, k1 + k2), q1 * q2 * 2)
-        else:
-            _put(out, (j1 + j2, k1 + k2), q1 * q2)
-    else:
-        for key, q in (x * y)._terms.items():
-            _put(out, key, q)
 
 
 def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
@@ -530,35 +530,58 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
 
     It reads the pairs from inner_2d's core but folds only the exact pole
     and finite sums, with no float mirror, in the same pair order, so the
-    result equals inner_2d's, stored terms included: both sums are term
-    dicts, and _put_product adds each pair's product in place, in the
-    order GradedScalar's sum would store it.  A pair's eps^1 coefficient
-    is formed only at a pole moment, and under an eps^(1/2) or eps^1
-    shift, where only the pole total is left, no finite part at all.
+    result equals inner_2d's, stored terms included.  Both sums hold an
+    int numerator and denominator per unit 2^(j/2)*pi^(k/2), and drop a
+    unit whose sum cancels, as the ring's sum does.  One-term factors
+    (the moment and two eps^0 coefficients) multiply on their int forms,
+    with 2^(1/2)*2^(1/2) folded into the numerator; a product with a sum
+    among its factors, or a pair's eps^1 coefficient at a pole moment, is
+    formed in the ring.  Each unit becomes a Fraction once, at the end.
+    Under an eps^(1/2) or eps^1 shift only the pole total is kept.
     Pairs are never grouped by moment: besides reordering the sums,
     grouping would let two pole pairs whose eps^0 coefficients cancel
     hide the digamma term that makes the limit unavailable.
     """
-    power = f.renorm_power + g.renorm_power
-    pole, fin = {}, {}  # the two sums' term dicts; fin None once a digamma term enters
-    for twice, slopes, cf, cg in _matched(f, g):
-        m = _moment(twice, slopes)
-        if power and m.finite is not None:
-            continue  # under the shift only residues count
-        a0 = cf._terms.get(0)
-        b0 = cg._terms.get(0)
-        c0 = None if a0 is None or b0 is None else a0 * b0  # None: cf*cg has no eps^0
-        if m.finite is not None:
-            if c0 is not None and fin is not None:
-                _put_product(fin, m.finite, c0)
-        elif c0 is not None:
-            _put_product(pole, m.pole, c0)
-            fin = None  # the residue's digamma term
-        elif fin is not None and not power:
-            _put_product(fin, m.pole, _mod_eps2(cf, cg).coeff(1))
-    pole = GS_ZERO._like(pole)
-    if power:
-        return LaurentValue(pole, GS_ZERO, 0.0).shifted(power).finite
+    pairs = _matched(f, g)
+    shift = bool(f.renorm_power) + bool(g.renorm_power)  # eps^(shift/2)
+    pole, fin = {}, {}  # {unit: (n, d)}; fin None once a digamma term enters
+    for twice, slopes, cf, cg, xf, xg in pairs:
+        m, xm = _moment(twice, slopes)
+        prod = None  # the product, where it is formed in the ring
+        if xf is _NO_EPS0 or xg is _NO_EPS0:  # cf*cg has no eps^0 term
+            if m.finite is not None or fin is None or shift:
+                continue
+            out, prod = fin, m.pole * _mod_eps2(cf, cg).coeff(1)
+        else:
+            if m.finite is None:
+                out, fin = pole, None  # the residue's digamma term
+            elif shift or fin is None:
+                continue  # under the shift only residues count
+            else:
+                out = fin
+            if xf is None or xg is None:
+                part = m.pole if m.finite is None else m.finite
+                prod = part * (cf._terms[0] * cg._terms[0])
+        if prod is None:
+            (jm, km, nm, dm), (jf, kf, nf, df), (jg, kg, ng, dg) = xm, xf, xg
+            j = jm + jf + jg
+            terms = (((j & 1, km + kf + kg), (nm * nf * ng) << (j >> 1), dm * df * dg),)
+        else:
+            terms = [(unit, q.numerator, q.denominator) for unit, q in prod._terms.items()]
+        for unit, n, d in terms:
+            an, ad = out.get(unit, (0, d))
+            if ad == d:
+                n += an
+            else:  # over the lcm of both denominators
+                h = gcd(ad, d)
+                n, d = an * (d // h) + n * (ad // h), ad // h * d
+            if n:
+                out[unit] = n, d
+            else:
+                del out[unit]
+    pole = GS_ZERO._like({unit: Fraction(n, d) for unit, (n, d) in pole.items()})
+    if shift:
+        return LaurentValue(pole, GS_ZERO, 0.0).shifted(Fraction(shift, 2)).finite
     if pole:
         raise NotConvergent(
             "renormalized limit diverges: pole coefficient %s remains" % pole.text()
@@ -567,7 +590,7 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
         raise DomainError(
             "constant term involves digamma values excluded from exact mode"
         )
-    return GS_ZERO._like(fin)
+    return GS_ZERO._like({unit: Fraction(n, d) for unit, (n, d) in fin.items()})
 
 
 def eigencheck_2d(op: DiffOp2D, s: State2D):

@@ -80,6 +80,13 @@ def _as_count(n, name: str) -> int:
     return n
 
 
+def _as_instance(x, cls, name: str):
+    """x when it is a cls; DomainError naming the parameter otherwise."""
+    if not isinstance(x, cls):
+        raise DomainError("%s must be a %s, got %r" % (name, cls.__name__, x))
+    return x
+
+
 def _put(out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum is zero."""
     acc = out.get(key)
