@@ -67,6 +67,39 @@ def _check_renorm(power) -> Fraction:
     return power
 
 
+# Planar exponents are interned: a bench pass meets 31-47 distinct ones, so equal
+# exponents in term keys are one object, compared by identity and hashed from a
+# slot.  Bounded for library callers; an evicted exponent costs identity only.
+EXPONENT_CACHE_SIZE = 4096
+
+
+class _Exp(Fraction):
+    """A Fraction that keeps its hash; its arithmetic gives plain Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "Fraction(%d, %d)" % self.as_integer_ratio()
+
+
+_exp = functools.lru_cache(maxsize=EXPONENT_CACHE_SIZE)(_Exp)  # _exp(n, d): the interned n/d
+
+
+def _plus(x: Fraction, k) -> _Exp:
+    """The interned exponent x + k, for a rational k, from ints."""
+    (a, b), (c, e) = x.as_integer_ratio(), k.as_integer_ratio()
+    h = gcd(n := a * e + c * b, d := b * e)
+    return _exp(n // h, d // h)
+
+
 def _affine(c0, c1):
     """c0 + c1*eps, as the rational c0 when c1 is zero."""
     return EpsScalar.affine(c0, c1) if c1 else c0
@@ -116,7 +149,8 @@ class State2D(_TermMap):
     @staticmethod
     def _key(mono) -> tuple:
         lam, ls, mu, ms = mono.key() if isinstance(mono, Monomial2D) else mono
-        return (_as_fraction(lam), _check_slope(ls), _as_fraction(mu), _check_slope(ms))
+        key = (_as_fraction(lam), _check_slope(ls), _as_fraction(mu), _check_slope(ms))
+        return (_exp(*key[0].as_integer_ratio()), ls, _exp(*key[2].as_integer_ratio()), ms)
 
     def _like(self, terms: dict, renorm_power=None) -> "State2D":
         out = super()._like(terms)
@@ -154,14 +188,16 @@ class State2D(_TermMap):
         same entries bucketed by charge key.  The key holds the charge's
         integer parts, (numerator, denominator, slope), since a Fraction
         hashes slowly; 2(lam + mu) is an int when lam + mu is a half-integer.
+        Both come from the exponents' ints, with no Fraction arithmetic.
         """
         if hasattr(self, "_index"):
             return self._index
         entries, buckets = [], {}
         for (lam, ls, mu, ms), c in self._terms.items():
-            q, t, c0 = mu - lam, lam + mu, c._terms.get(0)
-            key = (q.numerator, q.denominator, ms - ls)
-            t = 2 * t.numerator // t.denominator if t.denominator < 3 else 2 * t
+            (ln, ld), (mn, md) = lam.as_integer_ratio(), mu.as_integer_ratio()
+            q, d, t, c0 = mn * ld - ln * md, ld * md, 2 * (mn * ld + ln * md), c._terms.get(0)
+            key = (q // (h := gcd(q, d)), d // h, ms - ls)
+            t = t // d if t % d == 0 else Fraction(t, d)
             e = (key, t, ls + ms, c, _NO_EPS0 if c0 is None else _int_form(c0))
             entries.append(e)
             buckets.setdefault(key, []).append(e)
@@ -260,20 +296,21 @@ def _d_terms(terms: dict, slot: int) -> dict:
         x = key[slot]
         mult = _affine(2 * x, 2 * key[slot + 1])
         if mult:
-            _put(out, key[:slot] + (x - 1,) + key[slot + 1 :], c * mult)
-        _put(out, key[:other] + (key[other] + 1,) + key[other + 1 :], -c)
+            _put(out, key[:slot] + (_plus(x, -1),) + key[slot + 1 :], c * mult)
+        _put(out, key[:other] + (_plus(key[other], 1),) + key[other + 1 :], -c)
     return out
 
 
 def apply_2d(op: DiffOp2D, s: State2D) -> State2D:
     """Apply a normal-ordered operator; the renorm marker is preserved."""
     total: dict[tuple, EpsScalar] = {}
-    for (pb, p, rb, r), c in op._terms.items():
+    _as_instance(s, State2D, "s")
+    for (pb, p, rb, r), c in _as_instance(op, DiffOp2D, "op")._terms.items():
         cur = s._terms
         for slot in (2,) * r + (0,) * rb:
             cur = _d_terms(cur, slot)
         for (lam, ls, mu, ms), v in cur.items():
-            _put(total, (lam + pb, ls, mu + p, ms), v * c)
+            _put(total, (_plus(lam, pb) if pb else lam, ls, _plus(mu, p) if p else mu, ms), v * c)
     return s._like(total)
 
 
@@ -360,10 +397,10 @@ def _closed_image(row: tuple, s: State2D) -> State2D:
     a vanishing term is skipped.  The renorm marker is kept.
     """
     out: dict[tuple, EpsScalar] = {}
-    for key, c in s._terms.items():
+    for key, c in _as_instance(s, State2D, "s")._terms.items():
         lam, ls, mu, ms = key
         for dlam, dmu, f in row:
-            shifted = (lam + dlam if dlam else lam, ls, mu + dmu if dmu else mu, ms)
+            shifted = (_plus(lam, dlam) if dlam else lam, ls, _plus(mu, dmu) if dmu else mu, ms)
             if f is None:
                 _put(out, shifted, c)
             elif v := f(*key):
@@ -384,12 +421,6 @@ def ladder_image(which: str, s: State2D) -> State2D:
     return _closed_image(_CLOSED[_known(which, _LADDER, "unknown ladder operator %r")], s)
 
 
-@functools.cache
-def _closed_names() -> dict:
-    """{operator: name} for H and Q, built on first use."""
-    return {build_op_2d(name): name for name in ("H", "Q")}
-
-
 def _lowers_off(s: State2D) -> bool:
     """Whether H's lowering term carries some key of s off the keys of s.
 
@@ -403,7 +434,7 @@ def _lowers_off(s: State2D) -> bool:
         (lam, ls, mu, ms), = keys
         return bool((lam or ls) and (mu or ms))
     return any(
-        (lam or ls) and (mu or ms) and (lam - 1, ls, mu - 1, ms) not in keys
+        (lam or ls) and (mu or ms) and (_plus(lam, -1), ls, _plus(mu, -1), ms) not in keys
         for lam, ls, mu, ms in keys
     )
 
@@ -603,9 +634,9 @@ def eigencheck_2d(op: DiffOp2D, s: State2D):
     its stored terms are the same.  H is refused without a multiply when
     its lowering term leaves the keys of s (_lowers_off).
     """
-    names = _closed_names()
-    # build_op_2d's own H and Q by identity first: hashing an operator is slow
-    name = next((n for known, n in names.items() if known is op), None) or names.get(op)
+    _as_instance(s, State2D, "s")
+    # build_op_2d's own H and Q by identity, others by equality: hashing an operator is slow
+    name = next((n for n in ("H", "Q") if _built_op_2d(n) is op or _built_op_2d(n) == op), None)
     if name is None:
         return _eigenvalue(apply_2d, op, s)
     if name == "H" and _lowers_off(s):
@@ -622,7 +653,7 @@ def states_proportional(a: State2D, b: State2D):
     its top key, as generate_sector stores its nodes, a = q b forces q to
     be a's coefficient there: one product per key decides it, no division.
     """
-    if not a or not b:
+    if not _as_instance(a, State2D, "a") or not _as_instance(b, State2D, "b"):
         raise DomainError("proportionality requires nonzero states")
     if a._terms.keys() == b._terms.keys():
         top, one = max(b._terms), EpsScalar.one()

@@ -49,6 +49,7 @@ from .scalars import (
     GradedScalar,
     _as_count,
     _as_fraction,
+    _as_instance,
     _HALF,
     scalar_sign,
 )
@@ -187,7 +188,7 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     if len(gens) != len(names):
         bad = sorted(names - set(GENERATOR_ORDER))
         raise DomainError("unknown generator(s): %s" % ", ".join(bad))
-    if seed.is_zero():
+    if _as_instance(seed, State2D, "seed").is_zero():
         raise DomainError("seed state is zero")
 
     states: list[State2D] = [seed]
@@ -489,7 +490,7 @@ def classify_limit(s: State2D) -> str:
     hits a gamma pole; "ordinary" otherwise (a vanishing limit counts as
     ordinary).  Requires a deformed state.
     """
-    if not s.has_slopes():
+    if not _as_instance(s, State2D, "s").has_slopes():
         raise DomainError("classification applies to eps-deformed states")
     lim = s.limit_eps0()
     if lim.is_zero():
