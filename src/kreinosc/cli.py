@@ -187,6 +187,18 @@ def _load_sector_source(spec: str, depth: int):
     return generate_sector(load_state_spec(spec), _default_generators(spec), depth, seed_text=spec)
 
 
+# A run of small dark scans meets the same few operands again and again, so
+# dark closes each non-file operand once per process, keyed by (spec text,
+# depth).  Kept small: a scanned lattice holds the pairing indices of its states.
+SECTOR_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _closed_operand(spec: str, depth: int):
+    """_load_sector_source of a preset or seed spec, shared within the process."""
+    return _load_sector_source(spec, depth)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -259,8 +271,11 @@ def _cmd_gram(args) -> None:
 
 
 def _cmd_dark(args) -> None:
-    lat_a = _load_sector_source(args.a, args.depth)
-    lat_b = _load_sector_source(args.b, args.depth)
+    # a file: document can change between calls, so it is read every time
+    lat_a, lat_b = (
+        (_load_sector_source if spec.startswith("file:") else _closed_operand)(spec, args.depth)
+        for spec in (args.a, args.b)
+    )
     _emit(dark_to_json(dark_check(lat_a, lat_b, args.degree)))
 
 

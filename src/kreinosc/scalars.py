@@ -162,6 +162,18 @@ class _TermMap:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __deepcopy__(self, memo=None):
+        return self  # immutable, so its own copy
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        # the terms in stored order and the public slots (the marker, a line
+        # state's label); private slots such as a planar pairing index are not kept
+        cls = type(self)
+        names = [n for c in cls.__mro__ for n in getattr(c, "__slots__", ()) if n[0] != "_"]
+        return _rebuild, (cls, tuple(self._terms.items()), {n: getattr(self, n) for n in names})
+
     def _like(self, terms: dict):
         """A map of this class over terms that are already canonical.
 
@@ -235,6 +247,15 @@ class _TermMap:
 
     def __repr__(self):
         return "%s<%s>" % (type(self).__name__, self.text())
+
+
+def _rebuild(cls, items, fields: dict):
+    """The unpickled term map: each key and coefficient coerced again, in order."""
+    out = object.__new__(cls)
+    _TermMap.__init__(out, items)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _long_div(f: dict, g: dict, cdiv, laurent: bool):

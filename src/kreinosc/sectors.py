@@ -442,10 +442,8 @@ def gram(lattice: SectorLattice, charge) -> GramResult:
     part; within one lattice the deformation slope is uniform, so this
     addressing is unambiguous (ambiguity raises DomainError).
     """
-    q = _as_fraction(charge)
-    matched = [
-        n for n in lattice.nodes if n.charge is not None and n.charge.coeff(0).as_fraction() == q
-    ]
+    q, nodes = _as_fraction(charge), _as_instance(lattice, SectorLattice, "lattice").nodes
+    matched = [n for n in nodes if n.charge is not None and n.charge.coeff(0).as_fraction() == q]
     if not matched:
         raise DomainError("no nodes with charge %s" % q)
     if len({n.charge.sort_key() for n in matched}) > 1:
@@ -471,7 +469,7 @@ def quotient_report(lattice: SectorLattice) -> QuotientReport:
     dimension is dim_total - dim_null.
     """
     groups: dict = {}  # charge sort key -> (charge, node indices)
-    for node in lattice.nodes:
+    for node in _as_instance(lattice, SectorLattice, "lattice").nodes:
         if node.charge is None:
             raise DomainError(
                 "node %d has no charge eigenvalue; quotient analysis needs "
@@ -631,8 +629,8 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     """
     if _as_count(max_degree, "max_degree") < 0 or max_degree > MAX_DARK_DEGREE:
         raise DomainError("max_degree must be between 0 and %d" % MAX_DARK_DEGREE)
-    states_a = [n.state for n in a.nodes]
-    states_b = [n.state for n in b.nodes]
+    states_a = [n.state for n in _as_instance(a, SectorLattice, "a").nodes]
+    states_b = [n.state for n in _as_instance(b, SectorLattice, "b").nodes]
     offsets = _offsets(states_a, states_b)
     reach = [set().union(*(row[j] for row in offsets)) for j in range(len(states_b))]
 
@@ -900,6 +898,7 @@ def _sorted_edges(lattice: SectorLattice):
 
 def lattice_export(lattice: SectorLattice, fmt: str) -> str:
     """Serialize the lattice deterministically as dot, json, or csv."""
+    _as_instance(lattice, SectorLattice, "lattice")
     if fmt == "dot":
         lines = ["digraph sector {"]
         lines.append('  rankdir="BT";')
