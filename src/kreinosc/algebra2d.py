@@ -321,7 +321,7 @@ def compose_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
     d^s x^p = sum_j C(s, j) 2^j (p)_j x^(p-j) d^(s-j), independently in
     the holomorphic and antiholomorphic variables.
     """
-    return _compose(f, g, 2)
+    return _compose(_as_instance(f, DiffOp2D, "f"), _as_instance(g, DiffOp2D, "g"), 2)
 
 
 def commutator_2d(f: DiffOp2D, g: DiffOp2D) -> DiffOp2D:
@@ -430,9 +430,6 @@ def _lowers_off(s: State2D) -> bool:
     a term that s lacks: s is no eigenstate of H.
     """
     keys = s._terms
-    if len(keys) == 1:  # a shifted key is never the key itself
-        (lam, ls, mu, ms), = keys
-        return bool((lam or ls) and (mu or ms))
     return any(
         (lam or ls) and (mu or ms) and (_plus(lam, -1), ls, _plus(mu, -1), ms) not in keys
         for lam, ls, mu, ms in keys
@@ -681,7 +678,7 @@ def localization_2d(s: State2D) -> tuple[bool, Divergence]:
     density carries r^(2 t_min + 1), so its integral r^(2 t_min + 2); see
     _divergence.
     """
-    if not s:
+    if not _as_instance(s, State2D, "s"):
         raise DomainError("localization of the zero state is undefined")
     if s.has_slopes():
         raise DomainError("localization applies to slope-free states")

@@ -93,7 +93,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise DomainError("%s is not valid JSON: %s" % (path, exc))
 
 
@@ -257,11 +257,6 @@ def _cmd_inner(args) -> None:
     )
 
 
-def _cmd_sector(args) -> None:
-    lattice = _resolve_lattice(args)
-    sys.stdout.write(lattice_export(lattice, "json"))
-
-
 def _cmd_gram(args) -> None:
     lattice = _resolve_lattice(args)
     if args.charge is not None:
@@ -319,8 +314,11 @@ def _cmd_export(args) -> None:
     lattice = _resolve_lattice(args)
     text = lattice_export(lattice, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError("cannot write %s: %s" % (args.out, exc))
         _emit({"written": args.out, "format": args.format, "bytes": len(text)})
     else:
         sys.stdout.write(text)
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sector", help="generate a sector lattice (JSON)")
     _add_lattice_args(p)
-    p.set_defaults(func=_cmd_sector)
+    p.set_defaults(func=_cmd_export, format="json", out=None)
 
     p = subs.add_parser("gram", help="Gram data of a charge block, or all blocks")
     _add_lattice_args(p, with_file=True)

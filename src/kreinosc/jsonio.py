@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .algebra1d import State1D
-from .algebra2d import Monomial2D, State2D
+from .algebra2d import State2D
 from .errors import DomainError
 from .scalars import (
     EXACT_UNAVAILABLE,
@@ -194,13 +194,9 @@ def state2d_from_json(data):
             )
         if type(item["lam_slope"]) is not int or type(item["mu_slope"]) is not int:
             raise DomainError("eps slopes must be integers")
-        mono = Monomial2D(
-            frac_from_text(item["lam"]),
-            item["lam_slope"],
-            frac_from_text(item["mu"]),
-            item["mu_slope"],
-        )
-        pairs.append((mono, eps_from_json(item["coeff"])))
+        lam, mu = frac_from_text(item["lam"]), frac_from_text(item["mu"])
+        key = (lam, item["lam_slope"], mu, item["mu_slope"])
+        pairs.append((key, eps_from_json(item["coeff"])))
     return State2D(pairs, renorm_power=renorm)
 
 

@@ -33,12 +33,14 @@ Parsing and building stay bounded:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra1d import DiffOp1D, _FIRST_ORDER, build_op_1d
 from .algebra2d import DiffOp2D, _LADDER, build_op_2d
 from .errors import ArityError, DepthExceeded, DomainError, OpSyntaxError, UnknownNameError
+from .scalars import _join_signed
 
 MAX_NESTING = 64
 MAX_EXPONENT = 64
@@ -72,6 +74,9 @@ ALPHA_NAMES = tuple(n for n, op in NAMES_1D.items() if op in _FIRST_ORDER)
 _ALL_NAMES = sorted(list(NAMES_2D) + list(NAMES_1D), key=len, reverse=True)
 
 _SYMBOLS = "+-*^()[],@"
+
+# an integer or a rational n/d; a slash with no digits after it is malformed
+_NUMBER = re.compile(r"(\d+)(/\d*)?")
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +138,14 @@ def _tokenize(src: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "/":
-                k = j + 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    toks.append(_Token("num", src[i:k], i))
-                    i = k
-                    continue
-                raise OpSyntaxError("malformed rational literal", j)
-            toks.append(_Token("num", src[i:j], i))
-            i = j
+        num = _NUMBER.match(src, i)
+        if num:
+            if num.group(2) == "/":
+                raise OpSyntaxError("malformed rational literal", num.start(2))
+            toks.append(_Token("num", num.group(), i))
+            i = num.end()
             continue
-        matched = None
-        for name in _ALL_NAMES:
-            if src.startswith(name, i):
-                matched = name
-                break
+        matched = next((name for name in _ALL_NAMES if src.startswith(name, i)), None)
         if matched is not None:
             toks.append(_Token("name", matched, i))
             i += len(matched)
@@ -203,16 +195,17 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_sym(self, ch: str) -> _Token:
-        t = self.peek()
-        if t.kind == "sym" and t.text == ch:
-            return self.take()
-        raise OpSyntaxError("expected %r" % ch, t.pos)
+    def accept(self, symbols: str):
+        """The next token, taken, if it is one of the symbols; None otherwise."""
+        t = self.toks[self.i]
+        if t.kind == "sym" and t.text in symbols:
+            self.i += 1
+            return t
+        return None
 
-    def _open(self, t: _Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise OpSyntaxError("nesting deeper than %d levels" % MAX_NESTING, t.pos)
+    def expect_sym(self, ch: str) -> None:
+        if not self.accept(ch):
+            raise OpSyntaxError("expected %r" % ch, self.peek().pos)
 
     def _nest(self, node, children, pos: int):
         """node, unless it nests deeper than MAX_NESTING levels."""
@@ -223,114 +216,77 @@ class _Parser:
         return node
 
     def expr(self):
-        terms = []
-        sign = 1
-        t = self.peek()
-        start = t.pos
-        if t.kind == "sym" and t.text == "-":
-            self.take()
-            sign = -1
-        terms.append((sign, self.term()))
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "+-":
-                self.take()
-                terms.append((1 if t.text == "+" else -1, self.term()))
-            else:
-                break
+        start = self.peek().pos
+        terms = [(-1 if self.accept("-") else 1, self.term())]
+        while t := self.accept("+-"):
+            terms.append((1 if t.text == "+" else -1, self.term()))
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return self._nest(Sum(tuple(terms)), [t for _, t in terms], start)
 
-    def _starts_factor(self, t: _Token) -> bool:
-        if t.kind in ("num", "name"):
-            return True
-        return t.kind == "sym" and t.text in "(["
+    def _starts_factor(self) -> bool:
+        t = self.peek()
+        return t.kind in ("num", "name") or (t.kind == "sym" and t.text in "([")
 
     def term(self):
         start = self.peek().pos
         factors = [self.factor()]
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text == "*":
-                self.take()
-                factors.append(self.factor())
-            elif self._starts_factor(t):
-                factors.append(self.factor())
-            else:
-                break
+        while self.accept("*") or self._starts_factor():
+            factors.append(self.factor())
         if len(factors) == 1:
             return factors[0]
         return self._nest(Product(tuple(factors)), factors, start)
 
     def factor(self):
         node = self.atom()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text == "^":
-                self.take()
-                e = self.peek()
-                if e.kind != "num" or "/" in e.text:
-                    raise OpSyntaxError("exponent must be a non-negative integer", e.pos)
-                self.take()
-                digits = e.text.lstrip("0") or "0"
-                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                    raise DepthExceeded(
-                        "exponent %s exceeds %d (at byte %d)" % (e.text, MAX_EXPONENT, e.pos)
-                    )
-                node = self._nest(Power(node, int(digits)), [node], t.pos)
-            else:
-                return node
+        while t := self.accept("^"):
+            e = self.take()
+            if e.kind != "num" or "/" in e.text:
+                raise OpSyntaxError("exponent must be a non-negative integer", e.pos)
+            digits = e.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise DepthExceeded(
+                    "exponent %s exceeds %d (at byte %d)" % (e.text, MAX_EXPONENT, e.pos)
+                )
+            node = self._nest(Power(node, int(digits)), [node], t.pos)
+        return node
 
     def atom(self):
         t = self.take()
         if t.kind == "num":
             return ScalarLeaf(_rational(t))
         if t.kind == "name":
-            alpha = None
-            nxt = self.peek()
-            if nxt.kind == "sym" and nxt.text == "@":
-                if t.text not in ALPHA_NAMES:
-                    raise OpSyntaxError(
-                        "'@' coupling applies only to a+ and a-", nxt.pos
-                    )
-                self.take()
-                neg = False
-                v = self.peek()
-                if v.kind == "sym" and v.text == "-":
-                    self.take()
-                    neg = True
-                    v = self.peek()
-                if v.kind != "num":
-                    raise OpSyntaxError("expected a rational after '@'", v.pos)
-                self.take()
-                alpha = _rational(v)
-                if neg:
-                    alpha = -alpha
-            return NameLeaf(t.text, alpha)
-        if t.kind == "sym" and t.text in "([":
-            self._open(t)
-        if t.kind == "sym" and t.text == "(":
-            inner = self.expr()
+            at = self.accept("@")
+            if at is None:
+                return NameLeaf(t.text)
+            if t.text not in ALPHA_NAMES:
+                raise OpSyntaxError("'@' coupling applies only to a+ and a-", at.pos)
+            neg = self.accept("-")
+            v = self.take()
+            if v.kind != "num":
+                raise OpSyntaxError("expected a rational after '@'", v.pos)
+            return NameLeaf(t.text, -_rational(v) if neg else _rational(v))
+        if t.kind == "end":
+            raise OpSyntaxError("unexpected end of expression", t.pos)
+        if t.text not in "([":
+            raise OpSyntaxError("unexpected token %r" % t.text, t.pos)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise OpSyntaxError("nesting deeper than %d levels" % MAX_NESTING, t.pos)
+        node = self.expr()
+        if t.text == "(":
             self.expect_sym(")")
-            self.depth -= 1
-            return inner
-        if t.kind == "sym" and t.text == "[":
-            first = self.expr()
-            nxt = self.peek()
-            if nxt.kind == "sym" and nxt.text == "]":
+        else:
+            if self.accept("]"):
                 raise ArityError("commutator takes exactly two arguments, got 1")
             self.expect_sym(",")
             second = self.expr()
-            nxt = self.peek()
-            if nxt.kind == "sym" and nxt.text == ",":
+            if self.accept(","):
                 raise ArityError("commutator takes exactly two arguments, got more")
             self.expect_sym("]")
-            self.depth -= 1
-            return self._nest(Commutator(first, second), [first, second], t.pos)
-        if t.kind == "end":
-            raise OpSyntaxError("unexpected end of expression", t.pos)
-        raise OpSyntaxError("unexpected token %r" % t.text, t.pos)
+            node = self._nest(Commutator(node, second), [node, second], t.pos)
+        self.depth -= 1
+        return node
 
 
 def parse_expr(src: str):
@@ -356,6 +312,12 @@ def parse_expr(src: str):
 # ---------------------------------------------------------------------------
 
 
+def _operand_text(node, grouped) -> str:
+    """expr_text(node), parenthesized when node is of one of the grouped types."""
+    text = expr_text(node)
+    return "(" + text + ")" if isinstance(node, grouped) else text
+
+
 def expr_text(node) -> str:
     if isinstance(node, ScalarLeaf):
         return str(node.value)
@@ -364,29 +326,11 @@ def expr_text(node) -> str:
             return node.name
         return "%s@%s" % (node.name, node.alpha)
     if isinstance(node, Sum):
-        parts = []
-        for k, (sign, term) in enumerate(node.terms):
-            text = expr_text(term)
-            if isinstance(term, Sum):
-                text = "(" + text + ")"
-            if k == 0:
-                parts.append(("-" if sign < 0 else "") + text)
-            else:
-                parts.append(("- " if sign < 0 else "+ ") + text)
-        return " ".join(parts)
+        return _join_signed(["-" * (sign < 0) + _operand_text(t, Sum) for sign, t in node.terms])
     if isinstance(node, Product):
-        parts = []
-        for f in node.factors:
-            text = expr_text(f)
-            if isinstance(f, (Sum, Product)):
-                text = "(" + text + ")"
-            parts.append(text)
-        return " ".join(parts)
+        return " ".join(_operand_text(f, (Sum, Product)) for f in node.factors)
     if isinstance(node, Power):
-        base = expr_text(node.base)
-        if isinstance(node.base, (Sum, Product, Power)):
-            base = "(" + base + ")"
-        return "%s^%d" % (base, node.exponent)
+        return "%s^%d" % (_operand_text(node.base, (Sum, Product, Power)), node.exponent)
     if isinstance(node, Commutator):
         return "[%s, %s]" % (expr_text(node.lhs), expr_text(node.rhs))
     raise DomainError("not an expression node: %r" % (node,))
@@ -428,9 +372,7 @@ def infer_space(node) -> str:
 
 def _degree(op) -> Fraction:
     """Largest sum of absolute powers and derivative orders over op's terms."""
-    # integral powers (in practice, all of them) skip Fraction arithmetic
-    terms = (sum(abs(x.numerator) if x.denominator == 1 else abs(x) for x in k) for k in op._terms)
-    return max(terms, default=Fraction(0))
+    return max((sum(map(abs, k)) for k in op._terms), default=Fraction(0))
 
 
 def _check_degree(degree, what: str) -> None:

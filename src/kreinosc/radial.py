@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra1d import DiffOp1D, State1D, _quotient, apply_1d, build_op_1d, solve_vacuum_1d
 from .algebra2d import State2D, apply_2d, build_op_2d, compose_2d, omega
 from .errors import ChargeAbsent, DomainError
-from .scalars import EpsScalar, GradedScalar, _as_count, _as_fraction, _HALF
+from .scalars import _as_count, _as_fraction, _as_instance, _HALF
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,15 @@ class RadialProfile:
     profile: State1D
 
 
-def _coeff_to_graded(c: EpsScalar) -> GradedScalar:
-    if c.degree() > 0:
-        raise DomainError("angular decomposition requires eps-free coefficients")
-    return c.coeff(0)
-
-
 def angular_decompose(s: State2D) -> dict[Fraction, RadialProfile]:
     """Split a slope-free state into charge blocks with radial profiles."""
-    if s.has_slopes():
+    if _as_instance(s, State2D, "s").has_slopes():
         raise DomainError("angular decomposition applies to slope-free states")
     blocks: dict[Fraction, list] = {}
     for (lam, _ls, mu, _ms), c in s._terms.items():
-        blocks.setdefault(-lam + mu, []).append((lam + mu, _coeff_to_graded(c)))
+        if c.degree() > 0:
+            raise DomainError("angular decomposition requires eps-free coefficients")
+        blocks.setdefault(-lam + mu, []).append((lam + mu, c.coeff(0)))
     out = {}
     for q, pairs in blocks.items():
         profile = State1D(pairs)

@@ -322,19 +322,19 @@ class GradedScalar(_TermMap):
 
     @classmethod
     def one(cls) -> "GradedScalar":
-        return _GS_ONE
+        return GS_ONE
 
     @classmethod
     def rational(cls, q) -> "GradedScalar":
         q = _as_fraction(q)
-        return _GS_ZERO._like({(0, 0): q} if q else {})
+        return GS_ZERO._like({(0, 0): q} if q else {})
 
     @classmethod
     def monomial(cls, q, j=0, k=0) -> "GradedScalar":
         """Single term q * 2^(j/2) * pi^(k/2), built directly (as rational is) with
         the coercions and errors of the general constructor; empty for q = 0."""
         key, q = cls._term((j, k), q)
-        return _GS_ZERO._like({key: q} if q else {})
+        return GS_ZERO._like({key: q} if q else {})
 
     @classmethod
     def sqrt2(cls) -> "GradedScalar":
@@ -382,7 +382,7 @@ class GradedScalar(_TermMap):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
             if not q:
-                return _GS_ZERO
+                return GS_ZERO
             return self._like({g: c * q for g, c in self._terms.items()})
         if type(other) is not GradedScalar:
             return NotImplemented
@@ -482,8 +482,8 @@ def _coerce_scalar(c) -> GradedScalar:
     return GradedScalar.rational(_as_fraction(c))
 
 
-_GS_ZERO = GradedScalar()
-_GS_ONE = GradedScalar({(0, 0): 1})
+GS_ZERO = GradedScalar()
+GS_ONE = GradedScalar({(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +565,7 @@ def scalar_sign(v: GradedScalar) -> int:
     zero, but if the enclosure still stays astride zero at the last
     precision, IndeterminateSign is raised rather than guessing.
     """
-    if not isinstance(v, GradedScalar):
-        v = GradedScalar.rational(_as_fraction(v))
+    v = _coerce_scalar(v)
     if not v:
         return 0
     signs = {q > 0 for _, q in v._terms.items()}
@@ -660,7 +659,7 @@ class EpsScalar(_TermMap):
         return tuple(self.coeff(p) for p in range(self.degree() + 1))
 
     def coeff(self, power: int) -> GradedScalar:
-        return self._terms.get(power, _GS_ZERO)
+        return self._terms.get(power, GS_ZERO)
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for zero."""
@@ -738,14 +737,14 @@ class EpsScalar(_TermMap):
         if p == 0:
             return c.text()
         e = "e" if p == 1 else "e^%d" % p
-        if c == _GS_ONE:
+        if c == GS_ONE:
             return e
-        if c == -_GS_ONE:
+        if c == -GS_ONE:
             return "-" + e
         return "%s*%s" % (_paren(c.text()), e)
 
 
-_EPS_ONE = EpsScalar((_GS_ONE,))
+_EPS_ONE = EpsScalar((GS_ONE,))
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +771,11 @@ class LaurentValue:
 
     @classmethod
     def zero(cls) -> "LaurentValue":
-        return cls(_GS_ZERO, _GS_ZERO, 0.0)
+        return cls(GS_ZERO, GS_ZERO, 0.0)
 
     @classmethod
     def exact(cls, finite: GradedScalar) -> "LaurentValue":
-        return cls(_GS_ZERO, finite, float(finite))
+        return cls(GS_ZERO, finite, float(finite))
 
     def is_exact(self) -> bool:
         return self.finite is not None
@@ -825,7 +824,7 @@ class LaurentValue:
         if power == 0:
             return self
         if power == 1:
-            return LaurentValue(_GS_ZERO, self.pole, float(self.pole))
+            return LaurentValue(GS_ZERO, self.pole, float(self.pole))
         if power == _HALF:
             if self.pole:
                 raise NotConvergent(
@@ -935,9 +934,7 @@ def gamma_laurent(base, slope) -> LaurentValue:
         finite_num = float(residue) * (harmonic - _EULER_GAMMA)
         return LaurentValue(pole, None, finite_num)
     fin = gamma_exact(base)
-    return LaurentValue(_GS_ZERO, fin, float(fin))
+    return LaurentValue(GS_ZERO, fin, float(fin))
 
 
-GS_ZERO = _GS_ZERO
-GS_ONE = _GS_ONE
 GS_PI = GradedScalar.pi()

@@ -525,10 +525,6 @@ class DarkReport:
     entries: tuple
 
 
-def _word_text(w) -> str:
-    return " ".join(w) if w else "1"
-
-
 def _ladder_algebra() -> tuple:
     """(charge shift of each generator, ordered pairs of generators that commute), from _LADDER."""
     conjugate = {(g, row.conj) for g, row in _LADDER.items() if row.conj}
@@ -692,7 +688,7 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
             found[canon] = (n, survivors)
         n, survivors = found[canon]
         pairs += n
-        text = _word_text(word)
+        text = " ".join(word) if word else "1"
         entries += [DarkEntry(text, i, j, v, note) for i, j, v, note in survivors]
     return DarkReport(
         is_dark=not entries,
