@@ -395,7 +395,7 @@ def eigencheck_1d(op: DiffOp1D, s: State1D):
 
     A rational eigenvalue compares and hashes equal to its Fraction.
     """
-    return _eigenvalue(apply_1d, op, s)
+    return _eigenvalue(apply_1d, op, _as_instance(s, State1D, "s"))
 
 
 # ---------------------------------------------------------------------------

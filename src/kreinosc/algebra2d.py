@@ -505,22 +505,6 @@ def _matched(f: State2D, g: State2D) -> list:
     return pairs
 
 
-def _mod_eps2(cf: EpsScalar, cg: EpsScalar) -> EpsScalar:
-    """cf * cg modulo eps^2.
-
-    Only the eps^0 and eps^1 coefficients of a product reach the Laurent
-    data.  They are summed in the order of EpsScalar's product loop, so
-    their stored terms, and the float sums that follow them, are those of
-    the full product.
-    """
-    out: dict[int, GradedScalar] = {}
-    for i, a in cf._terms.items():
-        for j, b in cg._terms.items():
-            if i + j <= 1:
-                _put(out, i + j, a * b)
-    return cf._like(out)
-
-
 def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     """Charge-matched regularized inner product, as Laurent data in eps.
 
@@ -538,14 +522,14 @@ def inner_2d(f: State2D, g: State2D) -> LaurentValue:
     under swapping f and g.
 
     The pairs come from the core shared with renorm_inner: both states'
-    terms indexed by charge, products taken modulo eps^2, and each moment
-    read from a bounded per-process cache.  Pairs are accumulated one by
-    one in the order of the plain double loop, never grouped by moment: a
-    grouped sum would reorder the exact terms and the float mirror.
+    terms indexed by charge, and each moment read from a bounded
+    per-process cache.  Pairs are accumulated one by one in the order of
+    the plain double loop, never grouped by moment: a grouped sum would
+    reorder the exact terms and the float mirror.
     """
     total = LaurentValue.zero()
     for twice, slopes, cf, cg, _, _ in _matched(f, g):
-        total = total + _moment(twice, slopes)[0].times_eps_poly(_mod_eps2(cf, cg))
+        total = total + _moment(twice, slopes)[0].times_eps_poly(cf * cg)
     return total.shifted(f.renorm_power + g.renorm_power)
 
 
@@ -579,7 +563,7 @@ def renorm_inner(f: State2D, g: State2D) -> GradedScalar:
         if xf is _NO_EPS0 or xg is _NO_EPS0:  # cf*cg has no eps^0 term
             if m.finite is not None or fin is None or shift:
                 continue
-            out, prod = fin, m.pole * _mod_eps2(cf, cg).coeff(1)
+            out, prod = fin, m.pole * (cf * cg).coeff(1)
         else:
             if m.finite is None:
                 out, fin = pole, None  # the residue's digamma term

@@ -327,23 +327,18 @@ def _cmd_export(args) -> None:
 def _cmd_eval(args) -> None:
     ast = parse_expr(args.expr)
     space, op = eval_expr(ast)
-    out = {
-        "space": space,
-        "expr": expr_text(ast),
-        "text": op.text(),
-        "operator": op1d_to_json(op) if space == "1d" else op2d_to_json(op),
-    }
+    # built per call from the module globals, so a rebound global is the one called
+    kind, word, op_json, apply, state_json = {
+        "1d": (State1D, "line", op1d_to_json, apply_1d, state1d_to_json),
+        "2d": (State2D, "planar", op2d_to_json, apply_2d, state2d_to_json),
+    }[space]
+    out = {"space": space, "expr": expr_text(ast), "text": op.text(), "operator": op_json(op)}
     if args.state is not None:
         state = load_state_spec(args.state)
-        if space == "1d":
-            if not isinstance(state, State1D):
-                raise DomainError("expression is a line operator; --state needs a line state")
-            image = apply_1d(op, state)
-            out["image"] = state1d_to_json(image)
-        else:
-            if not isinstance(state, State2D):
-                raise DomainError("expression is a planar operator; --state needs a planar state")
-            out["image"] = state2d_to_json(apply_2d(op, state))
+        if not isinstance(state, kind):
+            raise DomainError("expression is a %s operator; --state needs a %s state"
+                              % (word, word))
+        out["image"] = state_json(apply(op, state))
     _emit(out)
 
 

@@ -122,10 +122,8 @@ def bridge_audit(n_max: int = 4) -> dict:
         planar = apply_2d(lower2, planar)
         line = apply_1d(a_minus, line)
         half_pow = half_pow / 2
-        got = radial_reduce(planar, q) if planar else State1D.zero()
+        got = radial_reduce(planar, q)
         check("lower-transport-alpha-plus-k%d" % k, got == line.scaled(half_pow))
-        if planar.is_zero() or line.is_zero():
-            break
 
     # alpha = -2 branch: Omega_{3/2, 0} has charge -3/2; at q = -3/2 the
     # radial Hamiltonian is the same line operator, and the reduction is

@@ -542,18 +542,6 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-def _pow_interval(iv, e: int):
-    lo, hi = iv
-    if e >= 0:
-        return lo**e, hi**e
-    return hi**e, lo**e
-
-
-def _mul_interval(x, y):
-    # both operands are intervals of positive reals
-    return x[0] * y[0], x[1] * y[1]
-
-
 def scalar_sign(v: GradedScalar) -> int:
     """Certified sign of a graded scalar: -1, 0 or +1.
 
@@ -580,15 +568,12 @@ def scalar_sign(v: GradedScalar) -> int:
         lo = Fraction(0)
         hi = Fraction(0)
         for (j, k), q in v._terms.items():
-            iv = (Fraction(1), Fraction(1))
-            if j == 1:
-                iv = _mul_interval(iv, sqrt2)
-            if k:
-                half, r = divmod(k, 2)
-                iv = _mul_interval(iv, _pow_interval(pi_iv, half))
-                if r:
-                    iv = _mul_interval(iv, sqrtpi)
-            a, b = iv
+            # 2^(j/2)*pi^(k/2) = sqrt2^j * pi^(k//2) * sqrtpi^(k%2), each factor positive
+            a = b = Fraction(1)
+            for (flo, fhi), e in ((sqrt2, j), (pi_iv, k // 2), (sqrtpi, k % 2)):
+                if e < 0:
+                    flo, fhi = fhi, flo
+                a, b = a * flo**e, b * fhi**e
             if q >= 0:
                 lo += q * a
                 hi += q * b

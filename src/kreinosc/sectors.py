@@ -403,22 +403,13 @@ def _block_result(lattice, charge, indices) -> GramResult:
         for j in range(i, n):
             entries[i][j] = entries[j][i] = renorm_inner(states[i], states[j])
     diag, ecols = _congruence_diagonalize(entries)
-    n_plus = n_minus = n_zero = 0
-    kernel = []
-    for i, d in enumerate(diag):
-        sgn = scalar_sign(d)
-        if sgn > 0:
-            n_plus += 1
-        elif sgn < 0:
-            n_minus += 1
-        else:
-            n_zero += 1
-            kernel.append(tuple(ecols[i]))
+    signs = [scalar_sign(d) for d in diag]
+    kernel = [tuple(col) for col, sgn in zip(ecols, signs) if not sgn]
     return GramResult(
         charge=charge,
         node_indices=tuple(indices),
         entries=tuple(map(tuple, entries)),
-        signature=(n_plus, n_minus, n_zero),
+        signature=(signs.count(1), signs.count(-1), len(kernel)),
         kernel=tuple(kernel),
         renormalized=any(s.renorm_power or s.has_slopes() for s in states),
     )
@@ -973,12 +964,9 @@ def lattice_from_json(payload) -> SectorLattice:
         depth = _field(payload, "depth", int)
         nodes_raw = payload["nodes"]
         edges_raw = payload["edges"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("malformed sector document: %s" % exc)
-    for g in generators:
-        if g not in GENERATOR_ORDER:
-            raise DomainError("unknown generator %r in sector document" % g)
-    try:
+        for g in generators:
+            if g not in GENERATOR_ORDER:
+                raise DomainError("unknown generator %r in sector document" % g)
         nodes = [
             Node(
                 index=_field(item, "index", int),
