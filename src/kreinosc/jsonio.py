@@ -145,14 +145,21 @@ def state1d_from_json(data):
     return State1D(pairs, label=label)
 
 
+def _op_to_json(op, space: str, names: tuple) -> dict:
+    """An operator of either space: each term's coordinate powers as rational
+    text and its derivative orders as ints, under the space's field names."""
+    n = len(names) // 2
+    terms = []
+    for key, c in op.terms():
+        term = {name: frac_text(p) for name, p in zip(names[:n], key)}
+        term.update(zip(names[n:], key[n:]))
+        term["coeff"] = graded_to_json(c)
+        terms.append(term)
+    return {"space": space, "terms": terms}
+
+
 def op1d_to_json(op) -> dict:
-    return {
-        "space": "1d",
-        "terms": [
-            {"exp": frac_text(p), "dorder": q, "coeff": graded_to_json(c)}
-            for (p, q), c in op.terms()
-        ],
-    }
+    return _op_to_json(op, "1d", ("exp", "dorder"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +208,7 @@ def state2d_from_json(data):
 
 
 def op2d_to_json(op) -> dict:
-    return {
-        "space": "2d",
-        "terms": [
-            {
-                "zbar": frac_text(pb),
-                "z": frac_text(p),
-                "dzbar": rb,
-                "dz": r,
-                "coeff": graded_to_json(c),
-            }
-            for (pb, p, rb, r), c in op.terms()
-        ],
-    }
+    return _op_to_json(op, "2d", ("zbar", "z", "dzbar", "dz"))
 
 
 def state_from_json(data):

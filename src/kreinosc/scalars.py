@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -149,8 +150,11 @@ class _TermMap:
         canon: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                _put(canon, *self._term(key, c))
+            try:
+                for key, c in items:
+                    _put(canon, *self._term(key, c))
+            except (TypeError, ValueError) as exc:
+                raise DomainError("malformed %s term: %s" % (type(self).__name__, exc)) from None
         object.__setattr__(self, "_terms", canon)
 
     def _term(self, key, c):
@@ -606,6 +610,8 @@ class EpsScalar(_TermMap):
     _coeff = staticmethod(_coerce_scalar)
 
     def __init__(self, coeffs=()):
+        if isinstance(coeffs, (str, bytes, Mapping)) or not isinstance(coeffs, Iterable):
+            raise DomainError("EpsScalar coeffs must be a sequence, got %s" % type(coeffs).__name__)
         super().__init__(enumerate(coeffs))
 
     @staticmethod
