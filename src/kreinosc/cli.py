@@ -43,7 +43,7 @@ from .algebra2d import State2D, apply_2d, inner_2d, localization_2d, omega, psi0
 from .errors import DomainError, LabError
 from .jsonio import (
     audit_to_json,
-    dark_to_json,
+    dark_dumps,
     dumps,
     frac_text,
     graded_to_json,
@@ -271,7 +271,7 @@ def _cmd_dark(args) -> None:
         (_load_sector_source if spec.startswith("file:") else _closed_operand)(spec, args.depth)
         for spec in (args.a, args.b)
     )
-    _emit(dark_to_json(dark_check(lat_a, lat_b, args.degree)))
+    print(dark_dumps(dark_check(lat_a, lat_b, args.degree)))
 
 
 def _cmd_localize(args) -> None:

@@ -3,7 +3,8 @@
 All encoders emit deterministic structures: term lists come out sorted
 and rationals are strings "p/q" (plain "n" for integers) so no value is
 ever approximated by a float, except the explicitly numeric fields.
-``dumps`` prints every indented document the lab emits.
+``dumps`` prints every indented document the lab emits but the dark
+report, which ``dark_dumps`` writes from fixed templates.
 """
 
 from __future__ import annotations
@@ -261,24 +262,38 @@ def quotient_to_json(q) -> dict:
 
 
 def dark_to_json(d) -> dict:
-    return {
-        "dark": d.is_dark,
-        "max_degree": d.max_degree,
-        "nodes": {"a": d.nodes_a, "b": d.nodes_b},
-        "monomials": d.monomials,
-        "pairs_checked": d.pairs_checked,
-        "entries": [
-            {
-                "monomial": e.monomial,
-                "node_a": e.node_a,
-                "node_b": e.node_b,
-                "value": None if e.value is None else e.value.text(),
-                "value_exact": None if e.value is None else graded_to_json(e.value),
-                "note": e.note,
-            }
-            for e in d.entries
-        ],
-    }
+    return json.loads(dark_dumps(d))
+
+
+# The one definition of the dark document: an entry at its fixed indent, keys sorted.
+_DARK_ENTRY = (
+    '\n    {\n      "monomial": %s,\n      "node_a": %d,\n      "node_b": %d,\n      "note": %s,%s'
+)
+_DARK_VALUE = '\n      "value": %s,\n      "value_exact": %s\n    }'
+_DARK_TERM = '\n        {\n          "j": %d,\n          "k": %d,\n          "q": "%s"\n        }'
+
+
+def dark_dumps(d) -> str:
+    """dumps(dark_to_json(d)) with no dict per entry, rendering each value object
+    once: the scan reuses one value for every word of an operator class."""
+    head = dumps({"dark": d.is_dark, "max_degree": d.max_degree, "monomials": d.monomials,
+                  "nodes": {"a": d.nodes_a, "b": d.nodes_b}, "pairs_checked": d.pairs_checked})
+    cut = head.index("\n", 2)  # after the "dark" line; "entries" sorts next
+    shown = {id(None): _DARK_VALUE % ("null", "null")}  # id(value) -> the entry's tail
+    parts = []
+    for e in d.entries:
+        tail = shown.get(id(e.value))
+        if tail is None:
+            terms = [_DARK_TERM % (j, k, frac_text(q)) for (j, k), q in e.value.terms()]
+            exact = "[" + ",".join(terms) + "\n      ]" if terms else "[]"
+            tail = shown[id(e.value)] = _DARK_VALUE % (_string(e.value.text()), exact)
+        parts.append(_DARK_ENTRY % (_string(e.monomial), e.node_a, e.node_b, _string(e.note), tail))
+    if not parts:
+        return head[:cut] + '\n  "entries": [],' + head[cut:]
+    # the document's ends go on the end parts, so the join is its only copy
+    parts[0] = head[:cut] + '\n  "entries": [' + parts[0]
+    parts[-1] += "\n  ]," + head[cut:]
+    return ",".join(parts)
 
 
 # ---------------------------------------------------------------------------

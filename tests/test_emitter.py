@@ -1,9 +1,11 @@
 """jsonio.dumps prints json.dumps(sort_keys=True, indent=2), byte for byte.
 
 Every indented document the lab prints (the CLI's stdout and the json
-sector export) comes from this one emitter, so no command reaches the
-pure-Python indented path of the json module, and the emitter's peak
-memory on a large export stays below json.dumps's.
+sector export) comes from this one emitter, or for the dark report from
+jsonio.dark_dumps, so no command reaches the pure-Python indented path of
+the json module.  The emitter's peak memory on a large export stays below
+json.dumps's, and the dark writer's peak on a large report stays below the
+emitter's on the per-entry dicts it replaced.
 """
 
 import argparse
@@ -17,7 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kreinosc import cli, sectors
 from kreinosc.cli import main
-from kreinosc.jsonio import dumps
+from kreinosc.jsonio import dark_dumps, dumps
+
+from test_dark_writer import oracle, scanned
 
 PROPERTY = settings(
     max_examples=300,
@@ -170,4 +174,24 @@ def test_the_emitter_peaks_below_json_dumps_on_a_large_export(monkeypatch, capsy
     theirs, expected = traced_peak(reference)
     assert text == expected
     assert len(text) > 400_000
+    assert ours < theirs
+
+
+def test_the_dark_writer_peaks_below_the_dict_path_on_a_large_report(monkeypatch, capsys):
+    report = scanned(monkeypatch, ["dark", "--a", "half-zbar", "--b", "half-z", "--depth", "2",
+                                   "--degree", "4"])
+    capsys.readouterr()
+
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            text = f(report)
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    ours, text = traced_peak(dark_dumps)
+    theirs, expected = traced_peak(lambda r: dumps(oracle(r)))
+    assert text == expected
+    assert len(text) > 600_000
     assert ours < theirs

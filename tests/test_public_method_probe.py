@@ -4,7 +4,8 @@ The probe finds the public methods of each class in ``kreinosc.__all__`` by
 introspection and calls each on a sample with well-typed arguments, so a
 method that no other test reaches cannot crash unnoticed.  The operands of
 ``LaurentValue``'s methods are checked as well: an ill-typed one is refused
-with a ``domain`` error that names the parameter.
+with a ``domain`` error that names the parameter.  So are ``EpsScalar.coeff``'s
+power and a bool factor of an ``EpsScalar`` product.
 """
 
 import inspect
@@ -134,3 +135,24 @@ def test_laurent_operand_refused(method, name, bad):
     with pytest.raises(DomainError, match="^%s must be a " % name) as info:
         method(bad)
     assert info.value.code == "domain"
+
+
+@pytest.mark.parametrize("bad", [[], 1.5, "x", True, False, None, Fraction(1)], ids=repr)
+def test_eps_coeff_refuses_a_power_that_is_not_an_int(bad):
+    with pytest.raises(DomainError, match="^power must be an integer") as info:
+        EPS.coeff(bad)
+    assert info.value.code == "domain"
+
+
+def test_eps_coeff_reads_int_powers():
+    assert (EPS.coeff(0), EPS.coeff(1), EPS.coeff(2), EPS.coeff(2**70)) == (-1, GS, 0, 0)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_eps_product_with_a_bool_is_refused_like_the_graded_one(flag):
+    for product in (lambda: EpsScalar.one() * flag, lambda: flag * EpsScalar.one(),
+                    lambda: EPS * flag, lambda: GS * flag):
+        with pytest.raises(DomainError, match="^expected a rational, got %s$" % flag) as info:
+            product()
+        assert info.value.code == "domain"
+    assert EPS * 0 == 0 and EPS * 1 == EPS and 2 * EPS == EPS + EPS
