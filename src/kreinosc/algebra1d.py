@@ -75,12 +75,14 @@ def depth_limit() -> int:
 def _ratio(a: _TermMap, b: _TermMap):
     """(num, den) with a = (num/den) b for nonzero term maps, or None.
 
-    Decided by cross-multiplication against the coefficients at the
-    lowest key, so the ratio may lie outside the coefficient ring.
+    Decided by cross-multiplication against the coefficients at the lowest
+    key (equal maps need none), so the ratio may lie outside the coefficient ring.
     """
     if a._terms.keys() != b._terms.keys():
         return None
     k0 = min(a._terms)
+    if a._terms == b._terms:
+        return a._terms[k0], b._terms[k0]
     num = a._terms[k0]
     den = b._terms[k0]
     for key, c in a._terms.items():

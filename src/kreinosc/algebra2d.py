@@ -632,15 +632,16 @@ def states_proportional(a: State2D, b: State2D):
     ratio may be a rational function of eps; when the quotient is itself
     polynomial the pair is reduced to (quotient, 1).  Against a b monic in
     its top key, as generate_sector stores its nodes, a = q b forces q to
-    be a's coefficient there: one product per key decides it, no division.
+    be a's coefficient there: one product per other key decides it, no division.
     """
     if not _as_instance(a, State2D, "a") or not _as_instance(b, State2D, "b"):
         raise DomainError("proportionality requires nonzero states")
-    if a._terms.keys() == b._terms.keys():
-        top, one = max(b._terms), EpsScalar.one()
-        if b._terms[top] == one:
-            q = a._terms[top]
-            return (q, one) if all(c == b._terms[k] * q for k, c in a._terms.items()) else None
+    at, bt = a._terms, b._terms
+    if at.keys() == bt.keys():
+        top, one = max(at), EpsScalar.one()
+        if bt[top] == one:
+            q = at[top]
+            return (q, one) if all(c == bt[k] * q for k, c in at.items() if k is not top) else None
     ratio = _ratio(a, b)
     if ratio is None:
         return None

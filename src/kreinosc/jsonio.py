@@ -10,6 +10,7 @@ report, which ``dark_dumps`` writes from fixed templates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -44,11 +45,14 @@ def frac_text(f: Fraction) -> str:
     return _frac_text(f)
 
 
+_parsed = functools.lru_cache(maxsize=1024)(_rational_text)  # raises, so caches no error
+
+
 def frac_from_text(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise DomainError("expected a rational string, got %r" % (s,))
     try:
-        return _rational_text(s)
+        return _parsed(s)
     except (ValueError, ZeroDivisionError):
         raise DomainError("malformed rational %r" % (s,))
 
@@ -65,7 +69,7 @@ def graded_to_json(v: GradedScalar) -> list:
 def graded_from_json(data) -> GradedScalar:
     if not isinstance(data, list):
         raise DomainError("graded scalar JSON must be a list of terms")
-    out = GradedScalar.zero()
+    out: dict = {}
     for item in data:
         if not isinstance(item, dict) or set(item) != {"j", "k", "q"}:
             raise DomainError("graded scalar term must have keys j, k, q")
@@ -76,8 +80,8 @@ def graded_from_json(data) -> GradedScalar:
             raise DomainError(
                 "graded scalar grade (%d, %d) exceeds the bound %d" % (j, k, MAX_GRADE)
             )
-        out = out + GradedScalar.monomial(frac_from_text(item["q"]), j, k)
-    return out
+        _put(out, *GradedScalar._term((j, k), frac_from_text(item["q"])))
+    return GradedScalar.zero()._like(out)
 
 
 def eps_to_json(v: EpsScalar) -> list:
@@ -315,7 +319,9 @@ def dumps(obj) -> str:
 
 
 def _encode(o, ind: str) -> str:
-    """o at the indentation ``ind``: a newline and two spaces per level."""
+    """o at the indentation ``ind``: a newline and two spaces per level.
+
+    A member that is exactly a str or an int is written with no call."""
     if isinstance(o, str):
         return _string(o)
     if o is None:
@@ -330,7 +336,9 @@ def _encode(o, ind: str) -> str:
         if not o:
             return "{}"
         inner = ind + "  "
-        parts = [_string(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        parts = [_string(k) + ": " + (_string(v) if type(v) is str else int.__repr__(v)
+                                      if type(v) is int else _encode(v, inner))
+                 for k, v in sorted(o.items())]
         # the brackets go on the end parts, so the join is the only copy
         # of the container's text (a third less peak memory on an export)
         parts[0] = "{" + inner + parts[0]
@@ -340,7 +348,8 @@ def _encode(o, ind: str) -> str:
         if not o:
             return "[]"
         inner = ind + "  "
-        parts = [_encode(v, inner) for v in o]
+        parts = [_string(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else _encode(v, inner) for v in o]
         parts[0] = "[" + inner + parts[0]
         parts[-1] += ind + "]"
         return ("," + inner).join(parts)

@@ -994,9 +994,15 @@ def lattice_from_json(payload) -> SectorLattice:
     nodes.sort(key=lambda n: n.index)
     if [n.index for n in nodes] != list(range(len(nodes))):
         raise DomainError("sector document node indices must be 0..n-1")
+    for n in nodes:  # closure writes no zero state or factor and no node past the depth
+        if not n.state or not 0 <= n.depth <= depth:
+            raise DomainError("sector document node %d: zero state or depth not in 0..%d"
+                              % (n.index, depth))
     for e in edges:
         if not (0 <= e.src < len(nodes) and 0 <= e.dst < len(nodes)):
             raise DomainError("sector document edge endpoint out of range")
+        if not e.num or not e.den:
+            raise DomainError("sector document edge %d -> %d has a zero factor" % (e.src, e.dst))
         if e.generator not in GENERATOR_ORDER:
             raise DomainError("unknown generator %r in sector document" % e.generator)
     warnings = payload.get("warnings", [])
