@@ -4,7 +4,8 @@ All encoders emit deterministic structures: term lists come out sorted
 and rationals are strings "p/q" (plain "n" for integers) so no value is
 ever approximated by a float, except the explicitly numeric fields.
 ``dumps`` prints every indented document the lab emits but the dark
-report, which ``dark_dumps`` writes from fixed templates.
+report and the json sector export, which ``dark_dumps`` and
+``lattice_dumps`` write from fixed templates.
 """
 
 from __future__ import annotations
@@ -274,7 +275,17 @@ _DARK_ENTRY = (
     '\n    {\n      "monomial": %s,\n      "node_a": %d,\n      "node_b": %d,\n      "note": %s,%s'
 )
 _DARK_VALUE = '\n      "value": %s,\n      "value_exact": %s\n    }'
-_DARK_TERM = '\n        {\n          "j": %d,\n          "k": %d,\n          "q": "%s"\n        }'
+
+
+def _list(items: list, ind: str) -> str:
+    """The JSON list of the written items, closed at the indentation ind."""
+    return "[" + ",".join(items) + ind + "]" if items else "[]"
+
+
+@functools.lru_cache(maxsize=None)
+def _term_template(ind: str) -> str:
+    """A graded term {"j", "k", "q"} opening at the indentation ind (newline and spaces)."""
+    return '%s{%s  "j": %%d,%s  "k": %%d,%s  "q": "%%s"%s}' % ((ind,) * 5)
 
 
 def dark_dumps(d) -> str:
@@ -284,12 +295,13 @@ def dark_dumps(d) -> str:
                   "nodes": {"a": d.nodes_a, "b": d.nodes_b}, "pairs_checked": d.pairs_checked})
     cut = head.index("\n", 2)  # after the "dark" line; "entries" sorts next
     shown = {id(None): _DARK_VALUE % ("null", "null")}  # id(value) -> the entry's tail
+    term = _term_template("\n        ")
     parts = []
     for e in d.entries:
         tail = shown.get(id(e.value))
         if tail is None:
-            terms = [_DARK_TERM % (j, k, frac_text(q)) for (j, k), q in e.value.terms()]
-            exact = "[" + ",".join(terms) + "\n      ]" if terms else "[]"
+            exact = _list([term % (j, k, frac_text(q)) for (j, k), q in e.value.terms()],
+                          "\n      ")
             tail = shown[id(e.value)] = _DARK_VALUE % (_string(e.value.text()), exact)
         parts.append(_DARK_ENTRY % (_string(e.monomial), e.node_a, e.node_b, _string(e.note), tail))
     if not parts:
@@ -297,6 +309,72 @@ def dark_dumps(d) -> str:
     # the document's ends go on the end parts, so the join is its only copy
     parts[0] = head[:cut] + '\n  "entries": [' + parts[0]
     parts[-1] += "\n  ]," + head[cut:]
+    return ",".join(parts)
+
+
+# The one definition of the lattice document: its keys sorted, edges and
+# nodes spliced between the head values, each item at its fixed indent.
+_LATTICE_HEAD = ('{\n  "depth": %s,\n  "edges": ', '\n  "generators": %s,\n  "nodes": ',
+                 '\n  "seed": %s,\n  "warnings": %s\n}\n')
+_EDGE = ('\n    {\n      "den": %s,\n      "dst": %d,\n      "generator": %s,\n      "num": %s,'
+         '\n      "src": %d\n    }')
+_NODE = ('\n    {\n      "charge": %s,\n      "depth": %d,\n      "energy": %s,\n      "index": %d,'
+         '\n      "state": {\n        "renorm": "%s",\n        "space": "2d",\n        "terms": %s'
+         '\n      }\n    }')
+_STATE_TERM = ('\n          {\n            "coeff": %s,\n            "lam": "%s",'
+               '\n            "lam_slope": %d,\n            "mu": "%s",\n            "mu_slope": %d'
+               '\n          }')
+
+
+def _eps_json(v, ind: str) -> str:
+    """eps_to_json(v) as dumps writes it after a key at the indentation ind."""
+    item, key = ind + "  ", ind + "    "
+    term = item + "{" + key + '"coeff": %s,' + key + '"power": %d' + item + "}"
+    graded = _term_template(key + "  ")
+    return _list([term % (_list([graded % (j, k, frac_text(q)) for (j, k), q in c.terms()], key), p)
+                  for p, c in v.terms()], ind)
+
+
+def lattice_dumps(lattice, nodes, edges) -> str:
+    """The lattice's json export, its nodes and edges in the given order: dumps of
+    its document and a newline, with no dict per node, term or coefficient.  Each
+    coefficient object is rendered once per indent it is written at."""
+    fields = {id(None): "null"}  # id(v) -> v as a node's energy or charge, an edge's factor
+    coeffs = {}  # id(v) -> v as a state term's coefficient
+
+    def shown(v, memo: dict, ind: str) -> str:
+        text = memo.get(id(v))
+        if text is None:
+            text = memo[id(v)] = _eps_json(v, ind)
+        return text
+
+    def field(v) -> str:
+        return shown(v, fields, "\n      ")
+
+    def state(s) -> str:
+        return _list([_STATE_TERM % (shown(c, coeffs, "\n            "), frac_text(lam), ls,
+                                     frac_text(mu), ms)
+                      for (lam, ls, mu, ms), c in sorted(s._terms.items())], "\n        ")
+
+    lists = (
+        [_EDGE % (field(e.den), e.dst, _string(e.generator), field(e.num), e.src)
+         for e in edges],
+        [_NODE % (field(n.charge), n.depth, field(n.energy), n.index,
+                  frac_text(n.state.renorm_power), state(n.state)) for n in nodes],
+    )
+    head = (_LATTICE_HEAD[0] % _encode(lattice.depth, "\n  "),
+            _LATTICE_HEAD[1] % _encode(lattice.generators, "\n  "))
+    parts = []
+    for before, items in zip(head, lists):
+        if not items:
+            parts.append(before + "[]")
+            continue
+        # each list's brackets go on its end items, so the join is the document's only copy
+        items[0] = before + "[" + items[0]
+        items[-1] += "\n  ]"
+        parts += items
+    parts.append(_LATTICE_HEAD[2] % (_encode(lattice.seed_text, "\n  "),
+                                     _encode(lattice.warnings, "\n  ")))
     return ",".join(parts)
 
 

@@ -41,7 +41,7 @@ from .algebra2d import (
     states_proportional,
 )
 from .errors import DepthExceeded, DomainError, NotConvergent, PoleError, UnsupportedFormat
-from .jsonio import dumps, eps_from_json, eps_to_json, state2d_from_json, state2d_to_json
+from .jsonio import eps_from_json, lattice_dumps, state2d_from_json
 from .opexpr import build_from_text
 from .scalars import (
     GS_ZERO,
@@ -899,33 +899,7 @@ def lattice_export(lattice: SectorLattice, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "seed": lattice.seed_text,
-            "generators": list(lattice.generators),
-            "depth": lattice.depth,
-            "nodes": [
-                {
-                    "index": n.index,
-                    "depth": n.depth,
-                    "energy": None if n.energy is None else eps_to_json(n.energy),
-                    "charge": None if n.charge is None else eps_to_json(n.charge),
-                    "state": state2d_to_json(n.state),
-                }
-                for n in _sorted_nodes(lattice)
-            ],
-            "edges": [
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "generator": e.generator,
-                    "num": eps_to_json(e.num),
-                    "den": eps_to_json(e.den),
-                }
-                for e in _sorted_edges(lattice)
-            ],
-            "warnings": list(lattice.warnings),
-        }
-        return dumps(payload) + "\n"
+        return lattice_dumps(lattice, _sorted_nodes(lattice), _sorted_edges(lattice))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")  # a missing column is blank

@@ -1,11 +1,12 @@
 """jsonio.dumps prints json.dumps(sort_keys=True, indent=2), byte for byte.
 
-Every indented document the lab prints (the CLI's stdout and the json
-sector export) comes from this one emitter, or for the dark report from
-jsonio.dark_dumps, so no command reaches the pure-Python indented path of
-the json module.  The emitter's peak memory on a large export stays below
-json.dumps's, and the dark writer's peak on a large report stays below the
-emitter's on the per-entry dicts it replaced.
+Every indented document the lab prints on stdout comes from this one
+emitter, or for the dark report and the json sector export from the
+fixed-template writers jsonio.dark_dumps and jsonio.lattice_dumps, so no
+command reaches the pure-Python indented path of the json module.  The
+emitter's peak memory on a large export payload stays below json.dumps's,
+and the dark writer's peak on a large report stays below the emitter's on
+the per-entry dicts it replaced.
 """
 
 import argparse
@@ -17,11 +18,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kreinosc import cli, sectors
+from kreinosc import cli
 from kreinosc.cli import main
 from kreinosc.jsonio import dark_dumps, dumps
+from kreinosc.sectors import preset_sector
 
 from test_dark_writer import oracle, scanned
+from test_lattice_writer import oracle as lattice_oracle
 
 PROPERTY = settings(
     max_examples=300,
@@ -155,12 +158,9 @@ def test_no_command_calls_json_dumps_with_an_indent(monkeypatch, capsys, tmp_pat
         assert out == reference(json.loads(out)) + "\n"
 
 
-def test_the_emitter_peaks_below_json_dumps_on_a_large_export(monkeypatch, capsys):
-    payloads = []
-    monkeypatch.setattr(sectors, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
-    assert main(["sector", "--preset", "half-zbar", "--depth", "10"]) == 0
-    capsys.readouterr()
-    (payload,) = payloads
+def test_the_emitter_peaks_below_json_dumps_on_a_large_export():
+    # the dict payload that the json export of this sector was printed from
+    payload = lattice_oracle(preset_sector("half-zbar", 10))
 
     def traced_peak(f):
         tracemalloc.start()
