@@ -141,9 +141,6 @@ class State1D(_TermMap):
     def power(cls, e, c=1, label=None) -> "State1D":
         return cls([(e, c)], label=label)
 
-    def terms(self) -> tuple:
-        return tuple(sorted(self._terms.items()))
-
     def with_label(self, label) -> "State1D":
         return self._like(self._terms, label)
 

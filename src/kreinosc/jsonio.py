@@ -5,7 +5,7 @@ and rationals are strings "p/q" (plain "n" for integers) so no value is
 ever approximated by a float, except the explicitly numeric fields.
 ``dumps`` prints every indented document the lab emits but the dark
 report and the json sector export, which ``dark_dumps`` and
-``lattice_dumps`` write from fixed templates.
+``lattice_dumps`` write from fixed templates through ``_document``.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def dark_to_json(d) -> dict:
     return json.loads(dark_dumps(d))
 
 
-# The one definition of the dark document: an entry at its fixed indent, keys sorted.
+# The one definition of a dark report's entry, at its fixed indent, keys sorted.
 _DARK_ENTRY = (
     '\n    {\n      "monomial": %s,\n      "node_a": %d,\n      "node_b": %d,\n      "note": %s,%s'
 )
@@ -288,34 +288,49 @@ def _term_template(ind: str) -> str:
     return '%s{%s  "j": %%d,%s  "k": %%d,%s  "q": "%%s"%s}' % ((ind,) * 5)
 
 
+def _graded_json(v, ind: str) -> str:
+    """graded_to_json(v) as dumps writes it after a key at the indentation ind."""
+    term = _term_template(ind + "  ")
+    return _list([term % (j, k, frac_text(q)) for (j, k), q in v.terms()], ind)
+
+
+def _document(head: dict, lists: dict, end: str) -> str:
+    """dumps of head and of the lists of written items, keys sorted, closed by end;
+    a list's brackets go on its end items, so the join is the only copy of the text."""
+    parts = []
+    for key in sorted({**head, **lists}):
+        text = "\n  " + _string(key) + ": "
+        items = lists.get(key)
+        if items is None:
+            parts.append(text + _encode(head[key], "\n  "))
+        elif items:
+            parts += items
+            parts[-len(items)] = text + "[" + items[0]
+            parts[-1] += "\n  ]"
+        else:
+            parts.append(text + "[]")
+    parts[0] = "{" + parts[0]
+    parts[-1] += end
+    return ",".join(parts)
+
+
 def dark_dumps(d) -> str:
     """dumps(dark_to_json(d)) with no dict per entry, rendering each value object
     once: the scan reuses one value for every word of an operator class."""
-    head = dumps({"dark": d.is_dark, "max_degree": d.max_degree, "monomials": d.monomials,
-                  "nodes": {"a": d.nodes_a, "b": d.nodes_b}, "pairs_checked": d.pairs_checked})
-    cut = head.index("\n", 2)  # after the "dark" line; "entries" sorts next
     shown = {id(None): _DARK_VALUE % ("null", "null")}  # id(value) -> the entry's tail
-    term = _term_template("\n        ")
     parts = []
     for e in d.entries:
         tail = shown.get(id(e.value))
         if tail is None:
-            exact = _list([term % (j, k, frac_text(q)) for (j, k), q in e.value.terms()],
-                          "\n      ")
-            tail = shown[id(e.value)] = _DARK_VALUE % (_string(e.value.text()), exact)
+            tail = shown[id(e.value)] = _DARK_VALUE % (_string(e.value.text()),
+                                                       _graded_json(e.value, "\n      "))
         parts.append(_DARK_ENTRY % (_string(e.monomial), e.node_a, e.node_b, _string(e.note), tail))
-    if not parts:
-        return head[:cut] + '\n  "entries": [],' + head[cut:]
-    # the document's ends go on the end parts, so the join is its only copy
-    parts[0] = head[:cut] + '\n  "entries": [' + parts[0]
-    parts[-1] += "\n  ]," + head[cut:]
-    return ",".join(parts)
+    return _document({"dark": d.is_dark, "max_degree": d.max_degree, "monomials": d.monomials,
+                      "nodes": {"a": d.nodes_a, "b": d.nodes_b},
+                      "pairs_checked": d.pairs_checked}, {"entries": parts}, "\n}")
 
 
-# The one definition of the lattice document: its keys sorted, edges and
-# nodes spliced between the head values, each item at its fixed indent.
-_LATTICE_HEAD = ('{\n  "depth": %s,\n  "edges": ', '\n  "generators": %s,\n  "nodes": ',
-                 '\n  "seed": %s,\n  "warnings": %s\n}\n')
+# The one definition of the lattice document's items, each at its fixed indent.
 _EDGE = ('\n    {\n      "den": %s,\n      "dst": %d,\n      "generator": %s,\n      "num": %s,'
          '\n      "src": %d\n    }')
 _NODE = ('\n    {\n      "charge": %s,\n      "depth": %d,\n      "energy": %s,\n      "index": %d,'
@@ -330,52 +345,34 @@ def _eps_json(v, ind: str) -> str:
     """eps_to_json(v) as dumps writes it after a key at the indentation ind."""
     item, key = ind + "  ", ind + "    "
     term = item + "{" + key + '"coeff": %s,' + key + '"power": %d' + item + "}"
-    graded = _term_template(key + "  ")
-    return _list([term % (_list([graded % (j, k, frac_text(q)) for (j, k), q in c.terms()], key), p)
-                  for p, c in v.terms()], ind)
+    return _list([term % (_graded_json(c, key), p) for p, c in v.terms()], ind)
 
 
 def lattice_dumps(lattice, nodes, edges) -> str:
     """The lattice's json export, its nodes and edges in the given order: dumps of
     its document and a newline, with no dict per node, term or coefficient.  Each
     coefficient object is rendered once per indent it is written at."""
-    fields = {id(None): "null"}  # id(v) -> v as a node's energy or charge, an edge's factor
-    coeffs = {}  # id(v) -> v as a state term's coefficient
+    memo = {(id(None), "\n      "): "null"}  # (id(v), indent) -> v written at that indent
 
-    def shown(v, memo: dict, ind: str) -> str:
-        text = memo.get(id(v))
+    def shown(v, ind: str = "\n      ") -> str:  # by default a node's or an edge's field
+        text = memo.get((id(v), ind))
         if text is None:
-            text = memo[id(v)] = _eps_json(v, ind)
+            text = memo[id(v), ind] = _eps_json(v, ind)
         return text
 
-    def field(v) -> str:
-        return shown(v, fields, "\n      ")
-
     def state(s) -> str:
-        return _list([_STATE_TERM % (shown(c, coeffs, "\n            "), frac_text(lam), ls,
+        return _list([_STATE_TERM % (shown(c, "\n            "), frac_text(lam), ls,
                                      frac_text(mu), ms)
                       for (lam, ls, mu, ms), c in sorted(s._terms.items())], "\n        ")
 
-    lists = (
-        [_EDGE % (field(e.den), e.dst, _string(e.generator), field(e.num), e.src)
-         for e in edges],
-        [_NODE % (field(n.charge), n.depth, field(n.energy), n.index,
-                  frac_text(n.state.renorm_power), state(n.state)) for n in nodes],
-    )
-    head = (_LATTICE_HEAD[0] % _encode(lattice.depth, "\n  "),
-            _LATTICE_HEAD[1] % _encode(lattice.generators, "\n  "))
-    parts = []
-    for before, items in zip(head, lists):
-        if not items:
-            parts.append(before + "[]")
-            continue
-        # each list's brackets go on its end items, so the join is the document's only copy
-        items[0] = before + "[" + items[0]
-        items[-1] += "\n  ]"
-        parts += items
-    parts.append(_LATTICE_HEAD[2] % (_encode(lattice.seed_text, "\n  "),
-                                     _encode(lattice.warnings, "\n  ")))
-    return ",".join(parts)
+    return _document(
+        {"depth": lattice.depth, "generators": lattice.generators,
+         "seed": lattice.seed_text, "warnings": lattice.warnings},
+        {"edges": [_EDGE % (shown(e.den), e.dst, _string(e.generator), shown(e.num), e.src)
+                   for e in edges],
+         "nodes": [_NODE % (shown(n.charge), n.depth, shown(n.energy), n.index,
+                            frac_text(n.state.renorm_power), state(n.state)) for n in nodes]},
+        "\n}\n")
 
 
 # ---------------------------------------------------------------------------

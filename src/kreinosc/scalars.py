@@ -137,7 +137,7 @@ class _TermMap:
     The common core of both scalar rings and of the line and planar
     states and operators.  A subclass supplies the coercion of one input
     term, ``_term`` (by default its ``_key`` and ``_coeff`` coercions,
-    which also validate), its ``terms()`` order and the text of one term.
+    which also validate), the text of one term and any other ``terms()`` order.
     Construction runs every term through the coercion, merges repeated
     keys and drops zero sums, so two maps of a class are equal exactly
     when their term dicts and their markers are.
@@ -239,6 +239,10 @@ class _TermMap:
 
     def __neg__(self):
         return self._like({key: -c for key, c in self._terms.items()})
+
+    def terms(self) -> tuple:
+        """(key, coefficient) pairs by ascending key."""
+        return tuple(sorted(self._terms.items()))
 
     def scaled(self, c):
         c = self._coeff(c)
@@ -636,10 +640,6 @@ class EpsScalar(_TermMap):
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self) -> tuple:
-        """(power, coefficient) pairs by ascending power."""
-        return tuple(sorted(self._terms.items()))
-
     def coeffs(self) -> tuple:
         """Dense coefficients by ascending power; the last one is nonzero."""
         return tuple(self.coeff(p) for p in range(self.degree() + 1))
@@ -687,10 +687,6 @@ class EpsScalar(_TermMap):
             return self._like({i: a * other for i, a in self._terms.items()})
         if type(other) is not EpsScalar:
             return NotImplemented
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            (i, a), = self._terms.items()
-            (j, b), = other._terms.items()
-            return self._like({i + j: a * b})
         out: dict[int, GradedScalar] = {}
         for i, a in self._terms.items():
             for j, b in other._terms.items():
