@@ -93,11 +93,10 @@ class _Exp(Fraction):
 _exp = functools.lru_cache(maxsize=EXPONENT_CACHE_SIZE)(_Exp)  # _exp(n, d): the interned n/d
 
 
-def _plus(x: Fraction, k) -> _Exp:
-    """The interned exponent x + k, for a rational k, from ints."""
-    (a, b), (c, e) = x.as_integer_ratio(), k.as_integer_ratio()
-    h = gcd(n := a * e + c * b, d := b * e)
-    return _exp(n // h, d // h)
+def _plus(x: Fraction, k: int) -> _Exp:
+    """The interned exponent x + k for an int k: n/d + k = (n + k*d)/d is in lowest terms."""
+    n, d = x.as_integer_ratio()
+    return _exp(n + k * d, d)
 
 
 def _affine(c0, c1):
@@ -393,8 +392,9 @@ def ladder_closed_form(which: str, lam, mu) -> tuple:
 def _closed_image(row: tuple, s: State2D) -> State2D:
     """op s term by term, for the operator op whose _CLOSED row is ``row``.
 
-    One multiply per term of a non-unit coefficient, none for a unit one;
-    a vanishing term is skipped.  The renorm marker is kept.
+    One EpsScalar product per term of a non-unit coefficient, none for a unit
+    one; nearly all are a one-term coefficient times a rational, one Fraction
+    product inside EpsScalar.__mul__.  A vanishing term is skipped.  The renorm marker is kept.
     """
     out: dict[tuple, EpsScalar] = {}
     for key, c in _as_instance(s, State2D, "s")._terms.items():

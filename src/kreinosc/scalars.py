@@ -379,8 +379,9 @@ class GradedScalar(_TermMap):
         return self._terms.get((j % 2, k), _ZERO_FRACTION)
 
     # -- ring operations ----------------------------------------------------
-    # +, * and try_div sit in each scalar class's own dict, where the bench
-    # layer tracer patches them.
+    # +, * and try_div sit in each scalar class's own dict, where the bench layer
+    # tracer patches them; a one-term branch sits inside them (EpsScalar.__mul__'s),
+    # so that the tracer and the product pins still see every product.
 
     def __hash__(self):
         # a rational value hashes as its Fraction, since the two compare equal
@@ -678,6 +679,11 @@ class EpsScalar(_TermMap):
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, Fraction) and other and len(self._terms) == 1:
+            (p, g), = self._terms.items()
+            if len(g._terms) == 1:  # a ladder image's product: one Fraction product
+                (unit, q), = g._terms.items()
+                return self._like({p: g._like({unit: q * other})})
         if isinstance(other, (int, Fraction, GradedScalar)):
             # a constant scales each coefficient; the ring has no zero divisors
             if type(other) is bool:

@@ -638,6 +638,8 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
         )
 
     built = {((), j): s for j, s in enumerate(states_b)}
+    # charge supports as the pairing index's keys, which the pairing then reads
+    charges_a = [(s, s._pairing()[1]) for s in states_a]
 
     def image(word, j):
         # extend the longest prefix already built; prefixes of first words are first words
@@ -657,13 +659,12 @@ def dark_check(a: SectorLattice, b: SectorLattice, max_degree: int = 4) -> DarkR
     for word, canon, shift in words:
         if canon not in found:  # word is the first of its class
             images = {j: image(word, j) for j, r in enumerate(reach) if shift in r}
-            # charge supports as the pairing index's keys, which the pairing then reads
             image_keys = {j: img._pairing()[1] for j, img in images.items() if not img.is_zero()}
             n = 0
             survivors = []
-            for i, sa in enumerate(states_a):
+            for i, (sa, ka) in enumerate(charges_a):
                 for j, kb in image_keys.items():
-                    if kb.keys().isdisjoint(sa._pairing()[1]):
+                    if kb.keys().isdisjoint(ka):
                         continue
                     n += 1
                     try:

@@ -248,3 +248,11 @@ def test_the_pairing_index_of_other_exponents_matches_fraction_arithmetic():
     s = omega(Fraction(1, 3), Fraction(-2, 5)) + omega(Fraction(7, 6), Fraction(1, 2), 1, 0)
     s = s + omega(Fraction(-4, 3), Fraction(2, 3))
     assert [e[:3] for e in s._pairing()[0]] == oracle_index(s)
+
+
+def test_an_int_shift_is_the_interned_sum():
+    xs = [Fraction(n, d) for n in range(-7, 8) for d in (1, 2)]
+    for x in xs + [interned(x) for x in xs]:
+        for k in range(-3, 4):
+            got = algebra2d._plus(x, k)
+            assert got is _exp(*(x + k).as_integer_ratio()), (x, k)

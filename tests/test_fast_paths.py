@@ -2,10 +2,10 @@
 
 A value that is one term, or a plain rational, is computed directly
 instead of through the general ring machinery: division by a one-term
-eps polynomial, the one-term constructors, closure's eigenvalue shifts and
-the dark scan's integer charge offsets.  Each must give the value and the
-stored term order of the general path, and must skip the work it exists
-to skip.
+eps polynomial, the one-term constructors, a one-term eps polynomial times
+a rational, closure's eigenvalue shifts and the dark scan's integer charge
+offsets.  Each must give the value and the stored term order of the
+general path, and must skip the work it exists to skip.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from test_dark_scan import SOURCES, _mixed_sector
 from test_ladder_image import BYTE_CASES
 
 from kreinosc import scalars, sectors
+from kreinosc.algebra2d import _exp
 from kreinosc.cli import _load_sector_source
 from kreinosc.errors import DomainError
 from kreinosc.scalars import EpsScalar, GradedScalar, _long_div
@@ -249,3 +250,76 @@ def test_a_one_charge_index_has_one_list():
             several += 1
             assert all(bucket is not entries for bucket in buckets.values())
     assert several > 0
+
+
+# ---------------------------------------------------------------------------
+# a one-term eps polynomial times a rational: a ladder image's product
+
+# one term at power p whose coefficient is one term; an _Exp is a ladder shift's factor
+ONE_TERM = [EpsScalar((0,) * p + (G((q, j, k)),)) for p, (q, j, k) in enumerate(
+    [(1, 0, 0), (Fraction(-3, 2), 1, -1), (7, 0, 2), (Fraction(2, 9), 1, 3)])]
+FACTORS = [Fraction(1), Fraction(3), Fraction(-2, 5), _exp(7, 2), _exp(-1, 2), _exp(-4, 1)]
+# several powers, a coefficient of several terms
+GENERAL = [EpsScalar((G((1, 0, 0)), 0, G((-2, 1, 1)))), EpsScalar((G((1, 0, 0), (2, 1, 0)),))]
+
+
+def _general_product(x, q) -> list:
+    """The stored terms of x * q as the general path writes them: each coefficient times q."""
+    return [(p, _stored(c * q)) for p, c in x._terms.items()]
+
+
+def _graded_products(monkeypatch) -> list:
+    """The rational factors GradedScalar's product meets from now on."""
+    seen = []
+    mul = GradedScalar.__mul__
+
+    def spy(x, y):
+        if isinstance(y, (int, Fraction)):
+            seen.append(y)
+        return mul(x, y)
+
+    monkeypatch.setattr(GradedScalar, "__mul__", spy)
+    monkeypatch.setattr(GradedScalar, "__rmul__", spy)
+    return seen
+
+
+def test_one_term_times_a_rational_matches_the_general_path(monkeypatch):
+    cases = [(x, q) for x in ONE_TERM for q in FACTORS]
+    want = [_general_product(x, q) for x, q in cases]
+    seen = _graded_products(monkeypatch)
+    for (x, q), layout in zip(cases, want):
+        for got in (x * q, q * x):
+            assert type(got) is EpsScalar and _stored(got) == layout, (x, q)
+    assert seen == []  # every one of them took the one-term branch
+
+
+def test_other_factors_and_polynomials_keep_the_general_path(monkeypatch):
+    x = ONE_TERM[1]
+    cases = [(x, 3), (x, -2)] + [(y, q) for y in GENERAL for q in FACTORS]
+    want = [_general_product(y, q) for y, q in cases]
+    seen = _graded_products(monkeypatch)
+    for (y, q), layout in zip(cases, want):
+        assert _stored(y * q) == _stored(q * y) == layout, (y, q)
+    assert len(seen) == 2 * sum(len(y._terms) for y, q in cases)
+    for y in [x] + GENERAL:
+        assert _stored(y * Fraction(0)) == _stored(Fraction(0) * y) == []
+        with pytest.raises(DomainError, match="expected a rational, got True"):
+            y * True
+
+
+def test_ladder_images_scale_no_graded_scalar_by_a_rational(monkeypatch):
+    seen = _graded_products(monkeypatch)
+    eps_factors = Counter()
+    mul = EpsScalar.__mul__
+
+    def counted(x, y):
+        eps_factors[type(y).__name__] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(EpsScalar, "__mul__", counted)
+    assert preset_sector("half-zbar", 6).node_count() > 0
+    assert preset_sector("vacuum", 6).node_count() > 0
+    report = sectors.dark_check(preset_sector("half-zbar", 2), preset_sector("half-z", 2), 4)
+    assert report.pairs_checked == 2546
+    assert seen == []
+    assert eps_factors["_Exp"] + eps_factors["Fraction"] > 1000  # still EpsScalar.__mul__'s

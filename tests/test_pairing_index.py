@@ -160,6 +160,30 @@ def test_a_dark_scan_builds_each_index_once(monkeypatch):
     assert sum(reads.values()) > sum(builds.values())
 
 
+def test_a_dark_scan_reads_each_a_node_index_once_plus_once_per_evaluation(monkeypatch):
+    reads, evaluations = Counter(), Counter()
+    original, inner = State2D._pairing, sectors.renorm_inner
+
+    def counted(self):
+        reads[id(self)] += 1
+        return original(self)
+
+    def evaluated(f, g):
+        evaluations[id(f)] += 1
+        return inner(f, g)
+
+    a, b = (_load_sector_source("vacuum", 3) for _ in range(2))
+    monkeypatch.setattr(State2D, "_pairing", counted)
+    monkeypatch.setattr(sectors, "renorm_inner", evaluated)
+    report = sectors.dark_check(a, b, 4)
+    assert report.pairs_checked == 2798 and sum(evaluations.values()) > 1000
+    # the seed state is one object in both lattices, and b's side reads it too
+    own = [id(n.state) for n in a.nodes if all(m.state is not n.state for m in b.nodes)]
+    assert len(own) == len(a.nodes) - 1
+    # once for the scan's charge offsets, once for its pruning, once per evaluation
+    assert all(reads[i] == 2 + evaluations[i] for i in own)
+
+
 def _eps0_one_term(s: State2D) -> bool:
     return all(len(c.coeff(0)._terms) == 1 for c in s._terms.values())
 
