@@ -39,7 +39,7 @@ from .algebra1d import (
     localization_1d,
     solve_vacuum_1d,
 )
-from .algebra2d import State2D, apply_2d, inner_2d, localization_2d, omega, psi0, renorm_inner
+from .algebra2d import State2D, apply_2d, inner_2d, localization_2d, psi0, renorm_inner
 from .errors import DomainError, LabError
 from .jsonio import (
     audit_to_json,
@@ -58,11 +58,12 @@ from .jsonio import (
 )
 from .opexpr import eval_expr, expr_text, parse_expr
 from .radial import angular_decompose, bridge_audit, radial_reduce
-from .scalars import _HALF, _rational_text
+from .scalars import _rational_text
 from .sectors import (
     EXPORT_FORMATS,
     GENERATOR_ORDER,
     PRESET_NAMES,
+    SEED_FORMS,
     TOWERS,
     classify_limit,
     dark_check,
@@ -97,21 +98,13 @@ def _read_json(path: str):
         raise DomainError("%s is not valid JSON: %s" % (path, exc))
 
 
-# The state forms with rational exponents: name -> (exponent count, constructor).
-_EXPONENT_FORMS = {
-    "omega": (2, omega),
-    "eps": (1, lambda lam: omega(lam, 0, lam_slope=1).with_renorm(_HALF)),
-    "eps-conj": (1, lambda mu: omega(0, mu, mu_slope=1).with_renorm(_HALF)),
-}
-
-
 def load_state_spec(spec: str):
     """Resolve a state argument; see the module docstring for the forms."""
     name, colon, body = spec.partition(":")
     if spec == "psi0":
         return psi0()
-    if colon and name in _EXPONENT_FORMS:
-        count, build = _EXPONENT_FORMS[name]
+    if colon and name in SEED_FORMS:
+        count, seed, _ = SEED_FORMS[name]
         parts = body.split(",") if count > 1 else [body]
         if len(parts) != count:  # only omega takes more than one
             raise DomainError("omega: takes two comma-separated rationals")
@@ -119,7 +112,7 @@ def load_state_spec(spec: str):
             exponents = [_rational_text(part) for part in parts]
         except (ValueError, ZeroDivisionError):
             raise DomainError("malformed exponent in %r" % spec)
-        return build(*exponents)
+        return seed(*exponents)
     if colon and name == "file":
         return state_from_json(_read_json(body))
     raise DomainError(
@@ -129,8 +122,9 @@ def load_state_spec(spec: str):
 
 
 def _default_generators(spec: str) -> tuple:
-    tower = {"psi0": "vacuum", "eps": "zbar", "eps-conj": "z"}.get(spec.partition(":")[0])
-    return TOWERS.get(tower, GENERATOR_ORDER)
+    name = spec.partition(":")[0]
+    gens = SEED_FORMS[name][2] if name in SEED_FORMS else GENERATOR_ORDER
+    return TOWERS["vacuum"] if name == "psi0" else gens
 
 
 def _add_lattice_args(sub, with_file=False) -> None:

@@ -15,9 +15,7 @@ corrected form.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -265,9 +263,16 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
 # Tower generator sets, and the named towers: name -> (seed, seed text,
 # generators).  The vacuum tower is closed under the two raising operators
 # alone; a tower seeded on a power of zbar (of z) adds the one lowering
-# operator that moves that exponent.
+# operator that moves that exponent.  SEED_FORMS, read by the CLI's state specs
+# and by eps_sector/eps_conj_sector, holds the planar seeds with rational
+# exponents: name -> (exponent count, seed of the exponents, default generators).
 TOWERS = {
     "vacuum": ("b_pp", "b_pm"), "zbar": ("b_pp", "b_pm", "b_mm"), "z": ("b_pp", "b_pm", "b_mp")
+}
+SEED_FORMS = {
+    "omega": (2, omega, GENERATOR_ORDER),
+    "eps": (1, lambda lam: omega(lam, 0, lam_slope=1).with_renorm(_HALF), TOWERS["zbar"]),
+    "eps-conj": (1, lambda mu: omega(0, mu, mu_slope=1).with_renorm(_HALF), TOWERS["z"]),
 }
 _PRESETS = {
     "vacuum": (psi0(), "psi0", TOWERS["vacuum"]),
@@ -285,16 +290,16 @@ def preset_sector(name: str, depth: int = 2) -> SectorLattice:
 
 def eps_sector(lam_const, depth: int = 2) -> SectorLattice:
     """Deformed tower seeded on zbar^(lam_const + eps), renormalized pairing."""
-    seed = omega(_as_fraction(lam_const), 0, lam_slope=1).with_renorm(_HALF)
-    text = "eps:%s" % _as_fraction(lam_const)
-    return generate_sector(seed, TOWERS["zbar"], depth, seed_text=text)
+    _, seed, gens = SEED_FORMS["eps"]
+    lam = _as_fraction(lam_const)
+    return generate_sector(seed(lam), gens, depth, seed_text="eps:%s" % lam)
 
 
 def eps_conj_sector(mu_const, depth: int = 2) -> SectorLattice:
     """Mirror deformation on the z exponent."""
-    seed = omega(0, _as_fraction(mu_const), mu_slope=1).with_renorm(_HALF)
-    text = "eps-conj:%s" % _as_fraction(mu_const)
-    return generate_sector(seed, TOWERS["z"], depth, seed_text=text)
+    _, seed, gens = SEED_FORMS["eps-conj"]
+    mu = _as_fraction(mu_const)
+    return generate_sector(seed(mu), gens, depth, seed_text="eps-conj:%s" % mu)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +873,6 @@ def identity_audit() -> tuple:
 # ---------------------------------------------------------------------------
 
 EXPORT_FORMATS = ("dot", "json", "csv")
-_CSV_COLUMNS = "kind index depth energy charge src dst generator num den".split()
 
 
 def _sorted_nodes(lattice: SectorLattice):
@@ -887,38 +891,27 @@ def _sorted_edges(lattice: SectorLattice):
 def lattice_export(lattice: SectorLattice, fmt: str) -> str:
     """Serialize the lattice deterministically as dot, json, or csv."""
     _as_instance(lattice, SectorLattice, "lattice")
-    if fmt == "dot":
-        lines = ["digraph sector {"]
-        lines.append('  rankdir="BT";')
-        for n in _sorted_nodes(lattice):
-            lines.append('  n%d [label="%d: %s"];' % (n.index, n.index, n.label()))
-        for e in _sorted_edges(lattice):
-            lines.append(
-                '  n%d -> n%d [label="%s: %s"];'
-                % (e.src, e.dst, e.generator, e.coeff_text())
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    if fmt not in EXPORT_FORMATS:
+        choices = ", ".join(EXPORT_FORMATS)
+        raise UnsupportedFormat("unsupported export format %r; choose from %s" % (fmt, choices))
+    nodes, edges = _sorted_nodes(lattice), _sorted_edges(lattice)
     if fmt == "json":
-        return lattice_dumps(lattice, _sorted_nodes(lattice), _sorted_edges(lattice))
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")  # a missing column is blank
-        w.writeheader()
-        for n in _sorted_nodes(lattice):
-            energy, charge = _eps_text(n.energy), _eps_text(n.charge)
-            w.writerow(
-                dict(kind="node", index=n.index, depth=n.depth, energy=energy, charge=charge)
-            )
-        for e in _sorted_edges(lattice):
-            num, den = e.num.text(), e.den.text()
-            w.writerow(
-                dict(kind="edge", src=e.src, dst=e.dst, generator=e.generator, num=num, den=den)
-            )
-        return buf.getvalue()
-    raise UnsupportedFormat(
-        "unsupported export format %r; choose from %s" % (fmt, ", ".join(EXPORT_FORMATS))
-    )
+        return lattice_dumps(lattice, nodes, edges)
+    # No dot label or csv field needs quoting: each is an int, "?", a generator name
+    # (loaded documents are checked against GENERATOR_ORDER) or an EpsScalar text,
+    # whose characters are digits, "/+-*^()", spaces, "pi" and "e".
+    if fmt == "dot":
+        lines = ["digraph sector {", '  rankdir="BT";']
+        lines += ['  n%d [label="%d: %s"];' % (n.index, n.index, n.label()) for n in nodes]
+        lines += ['  n%d -> n%d [label="%s: %s"];' % (e.src, e.dst, e.generator, e.coeff_text())
+                  for e in edges] + ["}"]
+    else:
+        lines = ["kind,index,depth,energy,charge,src,dst,generator,num,den"]
+        lines += ["node,%s,%s,%s,%s,,,,," % (n.index, n.depth, _eps_text(n.energy),
+                                              _eps_text(n.charge)) for n in nodes]
+        lines += ["edge,,,,,%s,%s,%s,%s,%s" % (e.src, e.dst, e.generator, e.num.text(),
+                                                e.den.text()) for e in edges]
+    return "\n".join(lines) + "\n"
 
 
 def _field(item, key: str, kind: type):
