@@ -63,6 +63,15 @@ def frac_from_text(s) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _term_items(items, what: str, keys: str, exact: bool = False):
+    """Each term of items, checked to be a dict with at least (or exactly) the keys named."""
+    need = set(keys.split(", "))
+    for item in items:
+        if not isinstance(item, dict) or not (set(item) == need if exact else need <= set(item)):
+            raise DomainError("%s term must have keys %s" % (what, keys))
+        yield item
+
+
 def graded_to_json(v: GradedScalar) -> list:
     return [{"j": j, "k": k, "q": frac_text(q)} for (j, k), q in v.terms()]
 
@@ -71,9 +80,7 @@ def graded_from_json(data) -> GradedScalar:
     if not isinstance(data, list):
         raise DomainError("graded scalar JSON must be a list of terms")
     out: dict = {}
-    for item in data:
-        if not isinstance(item, dict) or set(item) != {"j", "k", "q"}:
-            raise DomainError("graded scalar term must have keys j, k, q")
+    for item in _term_items(data, "graded scalar", "j, k, q", exact=True):
         j, k = item["j"], item["k"]
         if type(j) is not int or type(k) is not int:
             raise DomainError("graded scalar grades j, k must be integers")
@@ -93,9 +100,7 @@ def eps_from_json(data) -> EpsScalar:
     if not isinstance(data, list):
         raise DomainError("eps polynomial JSON must be a list of terms")
     coeffs: dict[int, GradedScalar] = {}
-    for item in data:
-        if not isinstance(item, dict) or set(item) != {"power", "coeff"}:
-            raise DomainError("eps polynomial term must have keys power, coeff")
+    for item in _term_items(data, "eps polynomial", "power, coeff", exact=True):
         p = item["power"]
         if type(p) is not int:
             raise DomainError("eps power must be an integer")
@@ -141,9 +146,7 @@ def state1d_from_json(data):
     if not isinstance(terms, list):
         raise DomainError("line state JSON needs a terms list")
     pairs = []
-    for item in terms:
-        if not isinstance(item, dict) or not {"exp", "coeff"} <= set(item):
-            raise DomainError("line state term must have keys exp, coeff")
+    for item in _term_items(terms, "line state", "exp, coeff"):
         pairs.append((frac_from_text(item["exp"]), graded_from_json(item["coeff"])))
     label = data.get("label")
     if label is not None and not isinstance(label, str):
@@ -198,13 +201,7 @@ def state2d_from_json(data):
     if not isinstance(terms, list):
         raise DomainError("planar state JSON needs a terms list")
     pairs = []
-    for item in terms:
-        if not isinstance(item, dict) or not {"lam", "lam_slope", "mu", "mu_slope", "coeff"} <= set(
-            item
-        ):
-            raise DomainError(
-                "planar state term must have keys lam, lam_slope, mu, mu_slope, coeff"
-            )
+    for item in _term_items(terms, "planar state", "lam, lam_slope, mu, mu_slope, coeff"):
         if type(item["lam_slope"]) is not int or type(item["mu_slope"]) is not int:
             raise DomainError("eps slopes must be integers")
         lam, mu = frac_from_text(item["lam"]), frac_from_text(item["mu"])

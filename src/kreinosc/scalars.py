@@ -646,9 +646,7 @@ class EpsScalar(_TermMap):
         return tuple(self.coeff(p) for p in range(self.degree() + 1))
 
     def coeff(self, power: int) -> GradedScalar:
-        if type(power) is not int:  # the fast test: renorm_inner reads coefficients per pair
-            power = _as_count(power, "power")
-        return self._terms.get(power, GS_ZERO)
+        return self._terms.get(_as_count(power, "power"), GS_ZERO)
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for zero."""

@@ -196,9 +196,8 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
     # proportional states share their monomial keys, so an image is only
     # compared with the nodes of its own key set, in index order
     by_keys = {frozenset(seed._terms): [0]}
-    frontier = [0]
+    frontier = range(1)  # the nodes of the last depth: the indices it appended
     for d in range(1, depth + 1):
-        new_frontier = []
         for i in frontier:
             for g in gens:
                 img = ladder_image(g, states[i])
@@ -229,8 +228,7 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
                     j = len(states) - 1
                     bucket.append(j)
                     edges.append(Edge(i, j, g, num, EpsScalar.one()))
-                    new_frontier.append(j)
-        frontier = new_frontier
+        frontier = range(frontier.stop, len(states))
 
     energies, charges, warnings = [], [], []
     checks = (
@@ -932,9 +930,6 @@ def lattice_from_json(payload) -> SectorLattice:
         depth = _field(payload, "depth", int)
         nodes_raw = payload["nodes"]
         edges_raw = payload["edges"]
-        for g in generators:
-            if g not in GENERATOR_ORDER:
-                raise DomainError("unknown generator %r in sector document" % g)
         nodes = [
             Node(
                 index=_field(item, "index", int),
@@ -957,6 +952,9 @@ def lattice_from_json(payload) -> SectorLattice:
         ]
     except (KeyError, TypeError) as exc:
         raise DomainError("malformed sector document: %s" % exc)
+    for g in (*generators, *(e.generator for e in edges)):
+        if g not in GENERATOR_ORDER:
+            raise DomainError("unknown generator %r in sector document" % (g,))
     if not nodes:
         raise DomainError("sector document has no nodes")
     nodes.sort(key=lambda n: n.index)
@@ -971,8 +969,6 @@ def lattice_from_json(payload) -> SectorLattice:
             raise DomainError("sector document edge endpoint out of range")
         if not e.num or not e.den:
             raise DomainError("sector document edge %d -> %d has a zero factor" % (e.src, e.dst))
-        if e.generator not in GENERATOR_ORDER:
-            raise DomainError("unknown generator %r in sector document" % e.generator)
     warnings = payload.get("warnings", [])
     if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
         raise DomainError("sector document warnings must be a list of strings")
