@@ -311,7 +311,7 @@ def _cmd_export(args) -> None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path open() refuses
             raise DomainError("cannot write %s: %s" % (args.out, exc))
         _emit({"written": args.out, "format": args.format, "bytes": len(text)})
     else:

@@ -34,6 +34,7 @@ Parsing and building stay bounded:
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,13 +71,14 @@ NAMES_1D = {
 
 ALPHA_NAMES = tuple(n for n, op in NAMES_1D.items() if op in _FIRST_ORDER)
 
-# longest first so the tokenizer never splits a long name
-_ALL_NAMES = sorted(list(NAMES_2D) + list(NAMES_1D), key=len, reverse=True)
-
-_SYMBOLS = "+-*^()[],@"
-
-# an integer or a rational n/d; a slash with no digits after it is malformed
-_NUMBER = re.compile(r"(\d+)(/\d*)?")
+# the token at a non-space offset: an integer or n/d literal (one ending in a
+# slash is malformed), an operator name, longest first so that no long name is
+# split, or a symbol; else the character there and the letters and digits after
+# it.  Only white space starts no match, so it is all that finditer skips.
+_TOKEN = re.compile(
+    r"(?P<num>\d+(?:/\d*)?)|(?P<name>%s)|(?P<sym>[-+*^()\[\],@])|(?P<bad>\S[^\W_]*)"
+    % "|".join(map(re.escape, sorted([*NAMES_2D, *NAMES_1D], key=len, reverse=True)))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -122,45 +124,21 @@ class Commutator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "sym" | "end"
-    text: str
-    pos: int
+_Token = namedtuple("_Token", "kind text pos")  # kind: "num" | "name" | "sym" | "end"
 
 
 def _tokenize(src: str) -> list:
     toks = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        num = _NUMBER.match(src, i)
-        if num:
-            if num.group(2) == "/":
-                raise OpSyntaxError("malformed rational literal", num.start(2))
-            toks.append(_Token("num", num.group(), i))
-            i = num.end()
-            continue
-        matched = next((name for name in _ALL_NAMES if src.startswith(name, i)), None)
-        if matched is not None:
-            toks.append(_Token("name", matched, i))
-            i += len(matched)
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and src[j].isalnum():
-                j += 1
-            raise UnknownNameError("unknown operator name %r" % src[i:j])
-        if ch in _SYMBOLS:
-            toks.append(_Token("sym", ch, i))
-            i += 1
-            continue
-        raise OpSyntaxError("unexpected character %r" % ch, i)
-    toks.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(src):
+        t = _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+        if t.kind == "num" and t.text.endswith("/"):
+            raise OpSyntaxError("malformed rational literal", m.end() - 1)
+        if t.kind == "bad" and t.text[0].isalpha():
+            raise UnknownNameError("unknown operator name %r" % t.text)
+        if t.kind == "bad":
+            raise OpSyntaxError("unexpected character %r" % t.text[0], t.pos)
+        toks.append(t)
+    toks.append(_Token("end", "", len(src)))
     return toks
 
 
@@ -181,7 +159,6 @@ def _rational(t: _Token) -> Fraction:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.toks = _tokenize(src)
         self.i = 0
         self.depth = 0  # open parentheses and brackets
@@ -342,15 +319,29 @@ def expr_text(node) -> str:
 
 
 def _collect_names(node, out: set):
+    """Add node's operator names to out, refusing what parse_expr cannot build."""
     if isinstance(node, NameLeaf):
+        if not isinstance(node.name, str) or not (node.name in NAMES_1D or node.name in NAMES_2D):
+            raise UnknownNameError("unknown operator name %r" % (node.name,))
+        if node.alpha is not None and node.name not in ALPHA_NAMES:
+            raise DomainError("'@' coupling applies only to a+ and a-")
         out.add(node.name)
     elif isinstance(node, Sum):
+        if type(node.terms) is not tuple or not node.terms or not all(
+                type(t) is tuple and len(t) == 2 and t[0] in (1, -1) for t in node.terms):
+            raise DomainError("a sum takes one or more (sign, node) terms, got %r" % (node.terms,))
         for _sign, t in node.terms:
             _collect_names(t, out)
     elif isinstance(node, Product):
+        if type(node.factors) is not tuple or not node.factors:
+            raise DomainError("a product takes one or more factors")
         for f in node.factors:
             _collect_names(f, out)
     elif isinstance(node, Power):
+        if type(node.exponent) is not int or node.exponent < 0:
+            raise DomainError("exponent must be a non-negative integer, got %r" % (node.exponent,))
+        if node.exponent > MAX_EXPONENT:
+            raise DepthExceeded("exponent %d exceeds %d" % (node.exponent, MAX_EXPONENT))
         _collect_names(node.base, out)
     elif isinstance(node, Commutator):
         _collect_names(node.lhs, out)

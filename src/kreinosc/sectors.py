@@ -188,6 +188,8 @@ def generate_sector(seed: State2D, generators, depth: int = 4, seed_text=None) -
         raise DomainError("unknown generator(s): %s" % ", ".join(bad))
     if _as_instance(seed, State2D, "seed").is_zero():
         raise DomainError("seed state is zero")
+    if seed_text is not None and not isinstance(seed_text, str):
+        raise DomainError("seed_text must be a str or None, got %r" % (seed_text,))
 
     states: list[State2D] = [seed]
     depths: list[int] = [0]
